@@ -35,30 +35,54 @@ GATE_KINDS = ONE_QUBIT_KINDS + TWO_QUBIT_KINDS
 ROLES = ("ancilla_zero", "logical_input")
 
 
-@dataclass(frozen=True)
+def _check_gate(kind: str, q: tuple[int, ...]) -> None:
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    want = 1 if kind in ONE_QUBIT_KINDS else 2
+    if len(q) != want:
+        raise ValueError(f"{kind} takes {want} qubit index(es), got {len(q)}")
+    if any(i < 1 for i in q):
+        raise ValueError(f"qubit indices are 1-based, got {q}")
+    if want == 2 and q[0] == q[1]:
+        raise ValueError(f"{kind} control equals target ({q[0]})")
+
+
+# Every Gate ever built, by (kind, q); at most 8·n² of them on qubits 1..n.
+_GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """A single gate: ``kind`` plus 1-based qubit indices.
 
     Two-qubit gates store (control, target); for CZ the two play symmetric
     roles but the stored order is preserved for round-tripping.
+
+    Gates are interned: constructing an equal gate returns the existing
+    instance, so identity implies equality.  Equality and hashing still
+    compare values, and callers must keep using ``==``.
     """
 
     kind: str
     q: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(i) for i in self.q))
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        want = 1 if self.kind in ONE_QUBIT_KINDS else 2
-        if len(self.q) != want:
-            raise ValueError(
-                f"{self.kind} takes {want} qubit index(es), got {len(self.q)}"
-            )
-        if any(i < 1 for i in self.q):
-            raise ValueError(f"qubit indices are 1-based, got {self.q}")
-        if want == 2 and self.q[0] == self.q[1]:
-            raise ValueError(f"{self.kind} control equals target ({self.q[0]})")
+    def __new__(cls, kind: str, q):
+        q = tuple(map(int, q))
+        key = (kind, q)
+        try:
+            gate = _GATES.get(key)
+        except TypeError:  # an unhashable kind, rejected below
+            gate = None
+        if gate is None:
+            _check_gate(kind, q)
+            gate = object.__new__(cls)
+            object.__setattr__(gate, "kind", kind)
+            object.__setattr__(gate, "q", q)
+            _GATES[key] = gate
+        return gate
+
+    def __reduce__(self):
+        return (type(self), (self.kind, self.q))
 
     @property
     def control(self) -> int:
@@ -72,7 +96,7 @@ class Gate:
         return f"{self.kind}({','.join(str(i) for i in self.q)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """Ordered gate list over n qubits with per-qubit roles and metadata."""
 

@@ -31,7 +31,7 @@ from .circuit import Circuit, from_json, to_json, to_qasm
 from .gf2 import solve as gf2_solve
 from .linear import DEFAULT_SEARCH_BUDGET
 from .encoder import synthesize_encoder
-from .optimizer import optimize
+from .optimizer import OptimizationError, optimize
 from .pauli import PauliString
 from .simulator import (
     StateVector,
@@ -82,9 +82,13 @@ def _cmd_synth(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
     gate_set = args.gates.replace("-", "_")
-    circuit = synthesize_encoder(
-        sf, gate_set=gate_set, strip=not args.no_strip, name=f"{code.name}_encoder"
-    )
+    try:
+        circuit = synthesize_encoder(
+            sf, gate_set=gate_set, strip=not args.no_strip,
+            name=f"{code.name}_encoder",
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     _write_output(to_json(circuit), args.output)
     return 0
 
@@ -109,7 +113,7 @@ def _cmd_optimize(args) -> int:
             search_budget=args.search_budget,
             block_witnesses=witnesses or None,
         )
-    except ValueError as exc:
+    except (ValueError, OptimizationError) as exc:
         raise _InputError(str(exc)) from exc
     _write_output(to_json(optimized), args.output)
     if args.report:

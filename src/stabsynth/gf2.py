@@ -1,9 +1,11 @@
-"""Dense GF(2) linear algebra on numpy uint8 arrays.
+"""GF(2) linear algebra: dense numpy matrices and int bitmask columns.
 
-Every matrix handled here is a 2-D numpy array of dtype uint8 whose entries
-are 0 or 1; addition is XOR.  These helpers are deliberately small and
-allocation-light — the callers (standard-form reduction, region resynthesis,
-port solving) run them inside tight loops.
+The matrix helpers take 2-D numpy arrays of dtype uint8 whose entries are
+0 or 1; addition is XOR.  ``min_weight_solution`` instead takes each column
+as a Python int bitmask, so its subset enumeration is plain int XOR.  These
+helpers are deliberately small and allocation-light — the callers
+(standard-form reduction, region resynthesis, port solving) run them
+inside tight loops.
 """
 
 from __future__ import annotations
@@ -110,21 +112,42 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return x if x.shape[1] > 1 else x[:, 0]
 
 
-def min_weight_solution(mat: np.ndarray, rhs: np.ndarray) -> list[int] | None:
-    """Indices of a minimum-size column subset of ``mat`` summing to ``rhs``.
+def min_weight_solution(
+    columns, target: int, max_weight: int | None = None
+) -> list[int] | None:
+    """Indices of a minimum-size subset of ``columns`` whose XOR is ``target``.
 
-    Exhaustive by weight, deterministic: among equal-weight solutions the
-    lexicographically smallest index tuple wins.  Intended for small column
-    counts (ports over a handful of variables); returns None if no subset
-    works.
+    Columns and target are int bitmasks.  Exhaustive by weight and
+    deterministic: among equal-weight solutions the lexicographically
+    smallest index tuple wins.  Returns ``[]`` for a zero target, and None
+    when no subset of at most ``max_weight`` columns (default: all of them)
+    works.  A target outside the columns' span is rejected by elimination
+    before any subset is enumerated.
     """
-    rhs = rhs.astype(np.uint8) & 1
-    ncols = mat.shape[1]
-    if not rhs.any():
+    if not target:
         return []
-    for w in range(1, ncols + 1):
+    pivots: dict[int, int] = {}
+    for col in columns:
+        while col:
+            top = col.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = col
+                break
+            col ^= pivots[top]
+    rest = target
+    while rest:
+        top = rest.bit_length() - 1
+        if top not in pivots:
+            return None
+        rest ^= pivots[top]
+    ncols = len(columns)
+    if max_weight is None or max_weight > ncols:
+        max_weight = ncols
+    for w in range(1, max_weight + 1):
         for combo in combinations(range(ncols), w):
-            acc = np.bitwise_xor.reduce(mat[:, combo], axis=1)
-            if np.array_equal(acc, rhs):
+            acc = 0
+            for i in combo:
+                acc ^= columns[i]
+            if acc == target:
                 return list(combo)
     return None

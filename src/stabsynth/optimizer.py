@@ -41,10 +41,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import Circuit, Gate, gate_counts, two_qubit_count
+from .circuit import Circuit, Gate, gate_counts
 from .gf2 import min_weight_solution
 from .linear import DEFAULT_SEARCH_BUDGET, block_to_matrix, resynthesize
-from .rules import REGISTRY, gates_commute, rule
+from .rules import REGISTRY, gates_commute
 from .simulator import circuits_equivalent
 
 __all__ = [
@@ -271,17 +271,6 @@ def _pass_collect_frame(gates, fires):
     return out, tuple(frame)
 
 
-def _min_weight_combo(rows, wires, delta, width):
-    m = np.array(
-        [[(r >> b) & 1 for b in range(width)] for r in rows], dtype=np.uint8
-    ).T
-    t = np.array([(delta >> b) & 1 for b in range(width)], dtype=np.uint8)
-    sol = min_weight_solution(m, t)
-    if sol is None:
-        return None
-    return [wires[s] for s in sol]
-
-
 def _pass_ports(gates, circuit, fires):
     """Re-realise each Hadamard's feeding CX gates at minimum weight.
 
@@ -297,6 +286,14 @@ def _pass_ports(gates, circuit, fires):
     toward the front and leaves the remaining CX gates contiguous.  Sound
     only where the rewritten wire is not read inside the window, which
     the pass checks explicitly.
+
+    The winner is the least key (weight, position, wires), and two prunes
+    leave it unchanged.  The solver's weight cap starts one below the
+    current gate count, because a realisation that is not lighter is never
+    used, and after each hit drops to one below the best weight so far,
+    because a later position of equal weight loses on position.  A
+    position whose other-wire labels equal the previous position's is
+    skipped: it would yield the same wires at a later position.
     """
     if any(g.kind not in ("H", "CX", "S", "Z", "CZ") for g in gates):
         return list(gates)
@@ -326,22 +323,26 @@ def _pass_ports(gates, circuit, fires):
                 delta = labels[q] ^ reset_label[q]
                 old = feeders[q]
                 if clean[q] and old:
-                    width = max(n_cols, 1)
                     wires = [w for w in range(1, n + 1) if w != q]
                     best = None
+                    cap = len(old) - 1
+                    prev_rows = None
                     for pos in range(reset_pos[q], i + 1):
                         snap = snapshots[pos]
-                        combo = _min_weight_combo(
-                            [snap[w] for w in wires], wires, delta, width
-                        )
-                        if combo is None:
+                        rows = [snap[w] for w in wires]
+                        if rows == prev_rows:
                             continue
-                        key = (len(combo), pos, combo)
-                        if best is None or key < best[0]:
-                            best = (key, pos, combo)
-                    if best is not None and len(best[2]) < len(old):
-                        _key, pos, combo = best
-                        new = [Gate("CX", (w, q)) for w in combo]
+                        prev_rows = rows
+                        sol = min_weight_solution(rows, delta, cap)
+                        if sol is None:
+                            continue
+                        key = (len(sol), pos, sol)
+                        if best is None or key < best:
+                            best = key
+                        cap = best[0] - 1
+                    if best is not None and best[0] < len(old):
+                        _weight, pos, sol = best
+                        new = [Gate("CX", (wires[s], q)) for s in sol]
                         for idx in reversed(old):
                             del out[idx]
                         pos -= sum(1 for idx in old if idx < pos)

@@ -1,5 +1,9 @@
 """Circuit containers: validation, serialization round-trips, QASM export."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from stabsynth.circuit import (
@@ -27,6 +31,47 @@ def test_gate_validation():
         Gate("H", (0,))
     with pytest.raises(ValueError, match="control equals target"):
         Gate("CX", (2, 2))
+
+
+def test_gates_are_interned_by_value():
+    g = Gate("CX", (1, 2))
+    assert Gate("CX", (np.int64(1), 2)) is g
+    assert Gate(kind="CX", q=[1, 2]) is g
+    assert type(g.q[0]) is int
+    assert Gate("CX", (2, 1)) is not g and Gate("CX", (2, 1)) != g
+    assert hash(g) == hash(Gate("CX", (1, 2)))
+    assert not hasattr(g, "__dict__")
+
+
+@pytest.mark.parametrize("kind, q", [
+    ("T", (1,)), (["CX"], (1, 2)), ("CX", (1,)), ("H", (0,)), ("CX", (2, 2)),
+])
+def test_invalid_gate_is_never_interned(kind, q):
+    for _ in range(2):  # a cached invalid gate would pass the second time
+        with pytest.raises(ValueError):
+            Gate(kind, q)
+    assert Gate("CX", (1, 2)).q == (1, 2)
+    assert Gate("H", (1,)).kind == "H"
+
+
+def test_gate_copy_and_pickle_keep_value_and_identity():
+    g = Gate("CZ", (3, 7))
+    for again in (
+        copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
+        pickle.loads(pickle.dumps(g, protocol=0)),
+    ):
+        assert again == g and again is g
+
+
+def test_slotted_circuit_builds_and_copies(mixed_encoders):
+    c = mixed_encoders["steane"]
+    assert not hasattr(c, "__dict__")
+    again = from_json(to_json(c))
+    assert again == c and again.gates[0] is c.gates[0]
+    swapped = c.replace_gates(c.gates[:2], note="shorter")
+    assert swapped.gates == c.gates[:2] and swapped.notes[-1] == "shorter"
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert copy.deepcopy(c) == c
 
 
 def test_circuit_validation():
@@ -92,6 +137,11 @@ def test_from_json_names_schema_violations():
         from_json(
             '{"name": "x", "n": 1, "roles": ["logical_input"],'
             ' "gates": [{"kind": "H"}], "notes": []}'
+        )
+    with pytest.raises(ValueError, match="gate 1: unknown gate kind"):
+        from_json(
+            '{"name": "x", "n": 1, "roles": ["logical_input"],'
+            ' "gates": [{"kind": ["H"], "q": [1]}], "notes": []}'
         )
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stabsynth.circuit import from_json, gate_counts, to_json
+from stabsynth.circuit import Circuit, Gate, from_json, gate_counts, to_json
 from stabsynth.cli import main
 
 
@@ -147,6 +147,36 @@ def test_optimize_unreadable_circuit_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "optimize", str(tmp_path / "nope.json"))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_synth_signed_generator_exits_2(capsys, tmp_path):
+    stab = tmp_path / "signed.stab"
+    stab.write_text("name: signed\nn: 3\nk: 1\nZZI\n-IZZ\n")
+    code, out, err = run_cli(capsys, "synth", str(stab))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: generator 2 carries a -1 sign")
+    assert err.count("\n") == 1
+
+
+def test_optimize_failed_proof_exits_2(capsys, tmp_path):
+    # Reduced from a random Clifford circuit: the port pass moves wire 2's
+    # feeding CX gates ahead of reads of wire 2, so the final proof fails.
+    circuit = Circuit(
+        n=4,
+        gates=tuple(Gate(k, q) for k, q in [
+            ("CX", (2, 1)), ("CY", (2, 3)), ("CY", (1, 4)), ("H", (2,)),
+            ("CZ", (2, 1)), ("CY", (4, 2)),
+        ]),
+        roles=("ancilla_zero", "logical_input") * 2,
+    )
+    path = tmp_path / "unsound.json"
+    path.write_text(to_json(circuit))
+    code, out, err = run_cli(capsys, "optimize", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: optimized circuit (with its Pauli frame) is not")
+    assert err.count("\n") == 1
 
 
 def test_syndromes_formats(capsys):

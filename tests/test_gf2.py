@@ -1,7 +1,10 @@
 """GF(2) linear algebra helpers."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabsynth import gf2
 
@@ -44,10 +47,43 @@ def test_solve_finds_a_solution_or_none():
 
 def test_min_weight_solution():
     # x1 ^ x2 = 1 has the two weight-1 solutions; the helper must pick one.
-    m = gf2.as_bits(["11"])
-    rhs = np.array([1], dtype=np.uint8)
-    picks = gf2.min_weight_solution(m, rhs)
+    picks = gf2.min_weight_solution([0b1, 0b1], 0b1)
     assert picks is not None and len(picks) == 1
-    assert gf2.min_weight_solution(
-        gf2.as_bits(["11", "11"]), np.array([1, 0], dtype=np.uint8)
-    ) is None
+    # Both columns are 11, so 01 is outside their span.
+    assert gf2.min_weight_solution([0b11, 0b11], 0b01) is None
+
+
+def _brute_min_weight(columns, target):
+    """Every subset by weight, lexicographic within a weight; no pruning."""
+    for w in range(len(columns) + 1):
+        for combo in combinations(range(len(columns)), w):
+            acc = 0
+            for i in combo:
+                acc ^= columns[i]
+            if acc == target:
+                return list(combo)
+    return None
+
+
+@st.composite
+def _columns_and_target(draw):
+    """Up to 10 columns of 1-8 bits, with zero and repeated columns."""
+    word = st.integers(0, (1 << draw(st.integers(1, 8))) - 1)
+    columns = draw(st.lists(st.one_of(st.just(0), word), max_size=7))
+    if columns:
+        columns += draw(st.lists(st.sampled_from(columns), max_size=3))
+    return columns, draw(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns_and_target(), st.one_of(st.none(), st.integers(0, 10)))
+def test_min_weight_solution_matches_brute_force(case, max_weight):
+    columns, target = case
+    want = _brute_min_weight(columns, target)
+    got = gf2.min_weight_solution(columns, target, max_weight)
+    if target == 0:
+        assert got == []
+    elif want is None or (max_weight is not None and len(want) > max_weight):
+        assert got is None
+    else:
+        assert got == want

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from stabsynth.circuit import Gate, gate_counts
+from stabsynth import gf2, optimizer
+from stabsynth.circuit import Circuit, Gate, gate_counts, to_json
 from stabsynth.encoder import synthesize_encoder
+from stabsynth.library import loads_stab
 from stabsynth.optimizer import OptimizationError, frame_from_notes, optimize
 from stabsynth.simulator import circuits_equivalent
 
@@ -115,3 +118,62 @@ def test_witness_with_wrong_matrix_is_rejected(forms):
     # stays correct and no worse than the rules level.
     assert report.counts_after["CX"] <= 19
     assert circuits_equivalent(_composed(optimized, report.frame), encoder)
+
+
+@pytest.mark.parametrize("moved", [1, 2])
+def test_ports_tries_each_position_where_a_label_changes(moved):
+    # Wire 3 is fed e1 ^ e2 by two CX gates; only after the third gate
+    # does one wire carry e1 ^ e2, so that last position must be solved
+    # even though just one of the other wires changed there.
+    other = 3 - moved
+    gates = (Gate("CX", (1, 3)), Gate("CX", (2, 3)),
+             Gate("CX", (other, moved)), Gate("H", (3,)))
+    encoder = Circuit(3, gates, ("logical_input",) * 2 + ("ancilla_zero",))
+    optimized, report = optimize(encoder, level="rules")
+    assert optimized.gates == (gates[2], Gate("CX", (moved, 3)), gates[3])
+    assert report.rules_fired == {"port_minimization": 1}
+
+
+def _random_code(rng, n, k):
+    """An unsigned [[n, k]] code: Z on n - k qubits, conjugated by random
+    H, S and CX gates acting on the rows' symplectic vectors."""
+    x = np.zeros((n - k, n), dtype=np.uint8)
+    z = np.eye(n - k, n, dtype=np.uint8)
+    for _ in range(12 * n):
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        kind = rng.integers(3)
+        if kind == 0:
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        elif kind == 1:
+            z[:, a] ^= x[:, a]
+        else:
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+    rows = ["".join("IXZY"[xb + 2 * zb] for xb, zb in zip(xr, zr))
+            for xr, zr in zip(x, z)]
+    return loads_stab(f"name: random\nn: {n}\nk: {k}\n" + "\n".join(rows))
+
+
+def _rules_outcome(encoder):
+    optimized, report = optimize(encoder, level="rules")
+    return to_json(optimized) + report.to_json(), report.rules_fired.get(
+        "port_minimization", 0
+    )
+
+
+def test_port_prunes_are_exact(forms, monkeypatch):
+    rng = np.random.default_rng(20261018)
+    sfs = [forms["steane"], forms["thirteen_qubit"]] + [
+        _random_code(rng, n, int(rng.integers(1, 4))).standard_form()
+        for n in (5, 6, 6, 7, 7, 8, 8, 9, 9, 9)
+    ]
+    encoders = [synthesize_encoder(sf, gate_set="cnot_cz") for sf in sfs]
+    shipped = [_rules_outcome(e) for e in encoders]
+    monkeypatch.setattr(
+        optimizer, "min_weight_solution",
+        lambda columns, target, max_weight=None:
+            gf2.min_weight_solution(columns, target),
+    )
+    uncapped = [_rules_outcome(e) for e in encoders]
+    assert shipped == uncapped
+    assert sum(fired for _out, fired in shipped) >= 10
