@@ -19,7 +19,9 @@ from .gf2 import as_bits, identity, invertible
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
     "block_to_matrix",
+    "care_mask",
     "gaussian_ops",
+    "pack_rows",
     "resynthesize",
     "search_ops",
 ]
@@ -90,10 +92,38 @@ def gaussian_ops(matrix):
     return tuple(Gate("CX", (c + 1, t + 1)) for c, t in reversed(ops))
 
 
-def _pack_rows(m):
+def pack_rows(m):
+    """Rows of a 0/1 matrix as ints, column ``j`` (0-based) at bit ``n-1-j``.
+
+    This is the one packed-row layout of the package: qubit 1's column is
+    the most significant bit, so ``care_mask`` clears bit ``n - w`` for
+    qubit ``w``.
+    """
     n = m.shape[0]
     weights = 1 << np.arange(n - 1, -1, -1)
     return tuple(int(v) for v in m @ weights)
+
+
+def care_mask(n, zero_columns=()):
+    """Packed-row mask of the columns not named in ``zero_columns``.
+
+    ``zero_columns`` holds 1-based qubits whose input bit is known to be
+    zero; their columns are don't-cares and their bits are cleared.
+    """
+    mask = (1 << n) - 1
+    for w in zero_columns:
+        if not 1 <= w <= n:
+            raise ValueError(f"zero_columns entry {w} outside 1..{n}")
+        mask &= ~(1 << (n - w))
+    return mask
+
+
+def _pack_state(rows, n):
+    """One int per matrix: packed row ``i`` at bits ``[i*n, (i+1)*n)``."""
+    state = 0
+    for i, row in enumerate(rows):
+        state |= row << (i * n)
+    return state
 
 
 def _gate_key(gates):
@@ -120,79 +150,101 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     search may return a sequence whose matrix differs from ``matrix`` in
     those columns, since the difference never reaches any state the block
     actually sees.  A witness only needs to agree on the other columns.
+
+    A search state is one int: the ``pack_rows`` row ``i`` sits at bits
+    ``[i*n, (i+1)*n)``, so CX(c, t) is a shift, a mask and an XOR, and the
+    transposition table is keyed by that int.  A child differs from its
+    parent only in row t, so its h is the parent's h corrected by row t
+    alone, and the goal test is ``h == 0``: each child costs O(1) where
+    rebuilding a row tuple and recounting h cost O(n).  Children are goal-
+    and bound-tested inline, right after the table update, which is
+    exactly what a recursive call did first; a node is entered only when
+    it is expanded, which is where the budget is charged.  Expansion
+    order, table rule and budget accounting are therefore the same as a
+    row-tuple search, node for node, including where the budget runs out.
+    The move undoing the last one needs no special case: its child is the
+    parent, which the table already holds at a smaller depth.
     """
     target = as_bits(matrix)
     _require_square_invertible(target)
     n = target.shape[0]
     if budget < 0:
         raise ValueError(f"search budget must be non-negative, got {budget}")
-    mask = (1 << n) - 1
-    for w in zero_columns:
-        if not 1 <= w <= n:
-            raise ValueError(f"zero_columns entry {w} outside 1..{n}")
-        mask &= ~(1 << (n - w))
-
-    goal = _pack_rows(target)
-
-    def matches(state):
-        return all((a ^ b) & mask == 0 for a, b in zip(state, goal))
+    mask = care_mask(n, zero_columns)
+    goal_rows = pack_rows(target)
 
     fallback = gaussian_ops(target)
     if witness is not None:
         w = tuple(witness)
-        if not matches(_pack_rows(block_to_matrix(w, n))):
+        got = pack_rows(block_to_matrix(w, n))
+        if any((a ^ b) & mask for a, b in zip(got, goal_rows)):
             raise ValueError("witness does not realize the target matrix")
         if (len(w), _gate_key(w)) < (len(fallback), _gate_key(fallback)):
             fallback = w
 
-    start = _pack_rows(identity(n))
-    if matches(start):
+    shifts = [i * n for i in range(n)]
+    goal_pairs = list(zip(shifts, goal_rows))
+    start = _pack_state(pack_rows(identity(n)), n)
+    h_start = sum(((start >> s) ^ r) & mask != 0 for s, r in goal_pairs)
+    if h_start == 0:
         return ()
 
-    moves = [(c, t) for c in range(n) for t in range(n) if t != c]
-
-    def h(state):
-        return sum((a ^ b) & mask != 0 for a, b in zip(state, goal))
+    row_bits = (1 << n) - 1
+    # moves[c] lists (t, shift of row t, gate) in ascending t.
+    moves = [
+        [(t, shifts[t], Gate("CX", (c + 1, t + 1))) for t in range(n) if t != c]
+        for c in range(n)
+    ]
 
     upper = len(fallback)
     spent = 0
-    bound = h(start)
-    path: list[tuple[int, int]] = []
+    path: list[Gate] = []
 
-    def dfs(state, g, bound, seen):
-        """Return (found, next_bound); raises _Exhausted when out of budget."""
+    def dfs(state, g, h, bound, seen):
+        """Expand ``state`` (h > 0, g + h <= bound).
+
+        Returns (found, next_bound); raises _Exhausted when out of budget.
+        """
         nonlocal spent
-        if matches(state):
-            return True, bound
-        slack = bound - g
-        if h(state) > slack:
-            return False, g + h(state)
         spent += 1
         if spent > budget:
             raise _Exhausted
+        g1 = g + 1
+        slack = bound - g1
+        diff = [((state >> s) ^ r) & mask for s, r in goal_pairs]
         nxt = None
-        for c, t in moves:
-            child = list(state)
-            child[t] ^= state[c]
-            child = tuple(child)
-            prev = seen.get(child)
-            if prev is not None and prev <= g + 1:
-                continue
-            seen[child] = g + 1
-            path.append((c + 1, t + 1))
-            found, fb = dfs(child, g + 1, bound, seen)
-            if found:
-                return True, bound
-            path.pop()
-            if nxt is None or fb < nxt:
-                nxt = fb
+        for c in range(n):
+            row = (state >> shifts[c]) & row_bits
+            care = row & mask
+            for t, shift, gate in moves[c]:
+                child = state ^ (row << shift)
+                prev = seen.get(child)
+                if prev is not None and prev <= g1:
+                    continue
+                seen[child] = g1
+                d = diff[t]
+                hc = h - (d != 0) + (d != care)
+                if hc == 0:
+                    path.append(gate)
+                    return True, bound
+                if hc > slack:
+                    fb = g1 + hc
+                else:
+                    path.append(gate)
+                    found, fb = dfs(child, g1, hc, bound, seen)
+                    if found:
+                        return True, bound
+                    path.pop()
+                if nxt is None or fb < nxt:
+                    nxt = fb
         return False, bound + 1 if nxt is None else nxt
 
+    bound = h_start
     try:
         while bound < upper:
-            found, nxt = dfs(start, 0, bound, {start: 0})
+            found, nxt = dfs(start, 0, h_start, bound, {start: 0})
             if found:
-                return tuple(Gate("CX", q) for q in path)
+                return tuple(path)
             if nxt <= bound:
                 break
             bound = nxt

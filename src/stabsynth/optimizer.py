@@ -39,11 +39,16 @@ import re
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from .circuit import Circuit, Gate, gate_counts
 from .gf2 import min_weight_solution
-from .linear import DEFAULT_SEARCH_BUDGET, block_to_matrix, resynthesize
+from .linear import (
+    DEFAULT_SEARCH_BUDGET,
+    block_to_matrix,
+    care_mask,
+    gaussian_ops,
+    pack_rows,
+    resynthesize,
+)
 from .rules import REGISTRY, gates_commute
 from .simulator import circuits_equivalent
 
@@ -580,7 +585,7 @@ def _resynthesize_blocks(gates, n, budget, report):
                 "span": [s, e],
                 "gates_before": len(block),
                 "gates_after": len(better),
-                "method": "search",
+                "method": _source(better, m, block),
             })
             out[s:e] = list(better)
     return out
@@ -588,25 +593,33 @@ def _resynthesize_blocks(gates, n, budget, report):
 
 def _best_witness(candidates, matrix, n, zero_columns):
     """Shortest candidate realising ``matrix`` up to the don't-care columns."""
-    mask = (1 << n) - 1
-    for w in zero_columns:
-        mask &= ~(1 << (n - w))
-    want = [int(v) for v in matrix @ (1 << np.arange(n - 1, -1, -1))]
+    mask = care_mask(n, zero_columns)
+    want = pack_rows(matrix)
     best = None
     for cand in candidates:
         cand = tuple(cand)
         if any(g.kind != "CX" for g in cand):
             continue
-        got = [
-            int(v)
-            for v in block_to_matrix(cand, n) @ (1 << np.arange(n - 1, -1, -1))
-        ]
+        got = pack_rows(block_to_matrix(cand, n))
         if any((a ^ b) & mask for a, b in zip(got, want)):
             continue
         key = (len(cand), tuple(g.q for g in cand))
         if best is None or key < best[0]:
             best = (key, cand)
     return None if best is None else best[1]
+
+
+def _source(found, matrix, witness):
+    """Which realisation ``search_ops`` returned: its fallbacks or a hit.
+
+    A search hit is always strictly shorter than both fallbacks, so a
+    result equal to the witness or to the Gaussian circuit came from them.
+    """
+    if witness is not None and tuple(found) == tuple(witness):
+        return "witness"
+    if tuple(found) == gaussian_ops(matrix):
+        return "gaussian"
+    return "search"
 
 
 def _staged_resynthesis(gates, circuit, budget, witnesses, report):
@@ -693,17 +706,18 @@ def _staged_resynthesis(gates, circuit, budget, witnesses, report):
             for b in back:
                 rebuilt.append(Gate("H", (b,)))
                 rebuilt += fanout[b]
-            best = (total, start, len(region), len(searched), back, rebuilt)
+            best = (total, start, region, searched, matrix, witness, back,
+                    rebuilt)
 
     if best is None:
         return None
-    _total, start, before, after, back, rebuilt = best
-    if after < before:
+    _total, start, region, searched, matrix, witness, back, rebuilt = best
+    if len(searched) < len(region):
         report.blocks_resynthesized.append({
-            "span": [start, start + after],
-            "gates_before": before,
-            "gates_after": after,
-            "method": "search",
+            "span": [start, start + len(searched)],
+            "gates_before": len(region),
+            "gates_after": len(searched),
+            "method": _source(searched, matrix, witness),
             "deferred_hadamards": list(back),
         })
     return rebuilt
@@ -781,6 +795,10 @@ def optimize(
     report (and recorded in the circuit notes), and the circuit composed
     with its frame is re-simulated against the input on every ancilla-
     restricted basis state.  A mismatch raises ``OptimizationError``.
+    An unknown level or gate set, or a negative ``search_budget``, raises
+    ``ValueError`` at every level, before any pass runs.  Each entry of
+    ``report.blocks_resynthesized`` names the ``method`` whose gates
+    replaced the region: ``"search"``, ``"witness"`` or ``"gaussian"``.
     """
     if level not in LEVELS:
         raise ValueError(
@@ -791,6 +809,10 @@ def optimize(
         raise ValueError(
             f"unknown target gate set {target_gates!r}; choose from "
             f"{', '.join(TARGET_GATE_SETS)}"
+        )
+    if search_budget < 0:
+        raise ValueError(
+            f"search budget must be non-negative, got {search_budget}"
         )
 
     fires = _Fires()

@@ -218,6 +218,22 @@ def check_stabilized(state: StateVector, g: PauliString) -> bool:
     return bool(np.max(np.abs(moved.amps - state.amps)) <= TOL)
 
 
+def _relative_phase(av: np.ndarray, bv: np.ndarray):
+    """Unit phase p with ``bv ≈ p * av`` at ``av``'s leading amplitude.
+
+    Returns 1 when ``av`` is zero and ``None`` when ``bv`` vanishes where
+    ``av`` does not, since then no phase can align them.
+    """
+    lead = np.nonzero(np.abs(av) > TOL)[0]
+    if lead.size == 0:
+        return 1
+    i = lead[0]
+    if abs(bv[i]) <= TOL:
+        return None
+    phase = bv[i] / av[i]
+    return phase / abs(phase)
+
+
 def states_close(
     a: StateVector, b: StateVector, *, up_to_global_phase: bool = False
 ) -> bool:
@@ -225,14 +241,9 @@ def states_close(
         return False
     av, bv = a.amps, b.amps
     if up_to_global_phase:
-        lead = np.nonzero(np.abs(av) > TOL)[0]
-        if lead.size == 0:
-            return bool(np.max(np.abs(bv)) <= TOL)
-        i = lead[0]
-        if abs(bv[i]) <= TOL:
+        phase = _relative_phase(av, bv)
+        if phase is None:
             return False
-        phase = bv[i] / av[i]
-        phase /= abs(phase)
         av = av * phase
     return bool(np.max(np.abs(av - bv)) <= TOL)
 
@@ -248,8 +259,11 @@ def circuits_equivalent(
 
     ``full`` scope runs every basis state; ``ancilla_restricted`` fixes
     ancilla_zero qubits to |0> and sweeps only the logical inputs, which is
-    the equivalence the optimizer must preserve.  The global-phase flag
-    aligns phases per input state.
+    the equivalence the optimizer must preserve.  With the global-phase
+    flag the circuits may differ by one phase shared by every input: it
+    is read off the first input and every later input must match under
+    it.  A phase per input would hide a relative phase between inputs,
+    such as a Z on a logical wire.
     """
     if scope not in ("full", "ancilla_restricted"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -265,10 +279,17 @@ def circuits_equivalent(
         for i in range(2 ** len(logical)):
             bits = format(i, f"0{len(logical)}b") if logical else ""
             labels.append(logical_label(c1, bits))
+    phase = None
     for label in labels:
-        out1 = run(c1, label)
-        out2 = run(c2, label)
-        if not states_close(out1, out2, up_to_global_phase=up_to_global_phase):
+        a = run(c1, label).amps
+        b = run(c2, label).amps
+        if up_to_global_phase:
+            if phase is None:
+                phase = _relative_phase(a, b)
+                if phase is None:
+                    return False
+            a = a * phase
+        if np.max(np.abs(a - b)) > TOL:
             return False
     return True
 

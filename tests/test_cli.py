@@ -179,6 +179,15 @@ def test_optimize_failed_proof_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_optimize_negative_search_budget_exits_2(capsys, cnotcz_eight):
+    code, out, err = run_cli(
+        capsys, "optimize", str(cnotcz_eight), "--search-budget", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: search budget must be non-negative, got -1\n"
+
+
 def test_syndromes_formats(capsys):
     code, out, _ = run_cli(capsys, "syndromes", "eight_qubit")
     assert code == 0

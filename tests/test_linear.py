@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stabsynth import gf2
 from stabsynth.circuit import Gate
 from stabsynth.linear import (
+    _require_square_invertible,
     block_to_matrix,
     gaussian_ops,
     resynthesize,
@@ -121,3 +122,200 @@ def test_search_never_beats_correctness(seed):
     ops = search_ops(m, budget=1500)
     assert np.array_equal(block_to_matrix(ops, n), m)
     assert len(ops) <= len(gaussian_ops(m))
+
+
+# ---------------------------------------------------------------------------
+# exactness of the packed-int search against the row-tuple search
+#
+# ``_reference_search_ops`` is the row-tuple IDA* that ``search_ops``
+# replaced, kept as a test-only reference and changed only in its name,
+# its imports and its spelled-out default budget: the packed search must
+# return the same gates for every matrix, witness, ``zero_columns`` and
+# budget, including where the budget runs out.
+
+
+def _pack_rows(m):
+    n = m.shape[0]
+    weights = 1 << np.arange(n - 1, -1, -1)
+    return tuple(int(v) for v in m @ weights)
+
+
+def _gate_key(gates):
+    return tuple(g.q for g in gates)
+
+
+class _Exhausted(Exception):
+    """Internal signal: the node budget ran out mid-iteration."""
+
+
+def _reference_search_ops(matrix, *, budget=50_000, witness=None,
+                          zero_columns=()):
+    target = gf2.as_bits(matrix)
+    _require_square_invertible(target)
+    n = target.shape[0]
+    if budget < 0:
+        raise ValueError(f"search budget must be non-negative, got {budget}")
+    mask = (1 << n) - 1
+    for w in zero_columns:
+        if not 1 <= w <= n:
+            raise ValueError(f"zero_columns entry {w} outside 1..{n}")
+        mask &= ~(1 << (n - w))
+
+    goal = _pack_rows(target)
+
+    def matches(state):
+        return all((a ^ b) & mask == 0 for a, b in zip(state, goal))
+
+    fallback = gaussian_ops(target)
+    if witness is not None:
+        w = tuple(witness)
+        if not matches(_pack_rows(block_to_matrix(w, n))):
+            raise ValueError("witness does not realize the target matrix")
+        if (len(w), _gate_key(w)) < (len(fallback), _gate_key(fallback)):
+            fallback = w
+
+    start = _pack_rows(gf2.identity(n))
+    if matches(start):
+        return ()
+
+    moves = [(c, t) for c in range(n) for t in range(n) if t != c]
+
+    def h(state):
+        return sum((a ^ b) & mask != 0 for a, b in zip(state, goal))
+
+    upper = len(fallback)
+    spent = 0
+    bound = h(start)
+    path: list[tuple[int, int]] = []
+
+    def dfs(state, g, bound, seen):
+        """Return (found, next_bound); raises _Exhausted when out of budget."""
+        nonlocal spent
+        if matches(state):
+            return True, bound
+        slack = bound - g
+        if h(state) > slack:
+            return False, g + h(state)
+        spent += 1
+        if spent > budget:
+            raise _Exhausted
+        nxt = None
+        for c, t in moves:
+            child = list(state)
+            child[t] ^= state[c]
+            child = tuple(child)
+            prev = seen.get(child)
+            if prev is not None and prev <= g + 1:
+                continue
+            seen[child] = g + 1
+            path.append((c + 1, t + 1))
+            found, fb = dfs(child, g + 1, bound, seen)
+            if found:
+                return True, bound
+            path.pop()
+            if nxt is None or fb < nxt:
+                nxt = fb
+        return False, bound + 1 if nxt is None else nxt
+
+    try:
+        while bound < upper:
+            found, nxt = dfs(start, 0, bound, {start: 0})
+            if found:
+                return tuple(Gate("CX", q) for q in path)
+            if nxt <= bound:
+                break
+            bound = nxt
+    except _Exhausted:
+        pass
+    return fallback
+
+
+def _exhaustion_point(target, witness, zero_columns, hi=1000):
+    """Smallest budget at which ``search_ops`` runs to completion.
+
+    ``None`` when the completed search returns its fallback (the budget
+    then never shows in the output) or needs more than ``hi`` nodes.  A
+    budget below the returned value runs out and yields the fallback; any
+    budget at or above it gives the completed result.  Comparing with the
+    reference one below and at this point pins the budget accounting: had
+    the reference completed at another point, one of the two would differ.
+    """
+    def search(b):
+        return search_ops(
+            target, budget=b, witness=witness, zero_columns=zero_columns
+        )
+
+    lo = 0
+    done = search(hi)
+    if done == search(lo):
+        return None
+    while lo + 1 < hi:  # search(lo) != done == search(hi)
+        mid = (lo + hi) // 2
+        if search(mid) == done:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    pairs = [tuple(int(q) + 1 for q in rng.choice(n, 2, replace=False))
+             for _ in range(int(rng.integers(0, 3 * n + 1)))]
+    gates = tuple(Gate("CX", q) for q in pairs)
+    target = block_to_matrix(gates, n)
+    witness = gates if rng.random() < 0.5 else None
+    zero_columns = tuple(
+        w for w in range(1, n + 1) if rng.random() < 0.3
+    )
+    return target, witness, zero_columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_search_matches_the_row_tuple_reference(seed):
+    target, witness, zero_columns = _random_case(seed)
+    budgets = {0, 1, 2, 3, 5, 8, 13, 30, 100, 400}
+    point = _exhaustion_point(target, witness, zero_columns)
+    if point is not None:
+        budgets |= {max(point - 1, 0), point, point + 1}
+    for budget in sorted(budgets):
+        got = search_ops(target, budget=budget, witness=witness,
+                         zero_columns=zero_columns)
+        want = _reference_search_ops(target, budget=budget, witness=witness,
+                                     zero_columns=zero_columns)
+        assert got == want, (budget, point)
+
+
+def test_search_cut_off_at_the_exhaustion_point():
+    # Seeded cases whose completed search beats its fallback, so the budget
+    # at which the search first completes shows in the output: one node
+    # less must give the fallback, exactly that many the search result.
+    checked = 0
+    for seed in range(60):
+        target, witness, zero_columns = _random_case(seed)
+        point = _exhaustion_point(target, witness, zero_columns)
+        if point is None:
+            continue
+        kw = dict(witness=witness, zero_columns=zero_columns)
+        short = _reference_search_ops(target, budget=point - 1, **kw)
+        assert search_ops(target, budget=point - 1, **kw) == short
+        done = _reference_search_ops(target, budget=point, **kw)
+        assert search_ops(target, budget=point, **kw) == done
+        assert len(done) < len(short)
+        checked += 1
+    assert checked >= 10
+
+
+def test_eight_qubit_t_matrix_is_pinned():
+    from test_acceptance import T_MATRIX, TEN_OP_WITNESS
+
+    target = gf2.as_bits(T_MATRIX)
+    gaussian = (
+        (5, 4), (6, 3), (6, 5), (7, 4), (7, 5), (8, 3), (8, 4), (8, 5),
+        (2, 8), (2, 6), (2, 5), (1, 7), (1, 6), (1, 5),
+    )
+    assert _gate_key(search_ops(target, budget=4000)) == gaussian
+    witness = tuple(Gate("CX", q) for q in TEN_OP_WITNESS)
+    assert search_ops(target, budget=4000, witness=witness) == witness

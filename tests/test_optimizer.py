@@ -64,7 +64,8 @@ def test_full_level_resynthesizes_the_shaded_block(golden_runs):
     assert report.counts_after == {"CX": 18, "H": 4}
     assert len(report.blocks_resynthesized) == 1
     (block,) = report.blocks_resynthesized
-    assert block["method"] == "search"
+    # The 10-gate region is the shipped witness, not a search hit.
+    assert block["method"] == "witness"
     assert block["gates_before"] == 11 and block["gates_after"] == 10
     assert block["deferred_hadamards"] == [3, 4]
 
@@ -106,6 +107,29 @@ def test_rejects_unknown_level_and_target(forms):
         optimize(encoder, level="aggressive")
     with pytest.raises(ValueError, match="unknown target gate set"):
         optimize(encoder, target_gates="toffoli")
+
+
+def test_search_budget_is_checked_at_every_level(forms):
+    encoder = synthesize_encoder(forms["steane"], gate_set="cnot_cz")
+    for level in ("rules", "full"):
+        with pytest.raises(ValueError, match="must be non-negative, got -7"):
+            optimize(encoder, level=level, search_budget=-7)
+
+
+def test_report_names_the_source_of_each_region():
+    # An 8-gate CX block the rewrite passes leave alone: its Gaussian
+    # circuit has 6 gates, the search finds 3.
+    pairs = [(2, 1), (3, 2), (2, 1), (2, 3), (1, 2), (3, 1), (1, 2), (2, 3)]
+    circuit = Circuit(
+        n=3, gates=tuple(Gate("CX", q) for q in pairs),
+        roles=("logical_input",) * 3,
+    )
+    _, report = optimize(circuit, level="full", search_budget=0)
+    (block,) = report.blocks_resynthesized
+    assert (block["method"], block["gates_after"]) == ("gaussian", 6)
+    _, report = optimize(circuit, level="full", search_budget=1000)
+    (block,) = report.blocks_resynthesized
+    assert (block["method"], block["gates_after"]) == ("search", 3)
 
 
 def test_witness_with_wrong_matrix_is_rejected(forms):

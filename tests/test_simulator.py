@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stabsynth.circuit import Circuit, Gate
+from stabsynth.encoder import synthesize_encoder
 from stabsynth.pauli import PauliString
 from stabsynth.simulator import (
     StateVector,
@@ -124,6 +125,26 @@ def test_circuits_equivalent_scopes():
     assert not circuits_equivalent(idle, kickback, "full")
     with pytest.raises(ValueError, match="unknown scope"):
         circuits_equivalent(idle, kickback, "partial")
+
+
+def test_circuits_equivalent_allows_one_global_phase_only(forms):
+    encoder = synthesize_encoder(forms["steane"], gate_set="cnot_cz")
+    (logical,) = encoder.logical_qubits()
+    # Z on the logical wire flips the sign of |1_L> only: a phase per
+    # input would hide it, one phase for all inputs does not.
+    z_first = encoder.replace_gates((Gate("Z", (logical,)),) + encoder.gates)
+    assert not circuits_equivalent(z_first, encoder)
+    assert not circuits_equivalent(z_first, encoder, "full")
+    # A phase shared by every input is still allowed: X Z X takes the
+    # |0> ancilla to -|0> whatever the logical input.
+    ancilla = encoder.roles.index("ancilla_zero") + 1
+    shared = encoder.replace_gates(
+        tuple(Gate(k, (ancilla,)) for k in ("X", "Z", "X")) + encoder.gates
+    )
+    assert circuits_equivalent(shared, encoder)
+    assert not circuits_equivalent(
+        shared, encoder, up_to_global_phase=False
+    )
 
 
 def test_circuits_equivalent_rejects_shape_mismatches():
