@@ -23,7 +23,8 @@ checks).
 
 A final strip pass removes gates that provably act as the identity because
 they touch qubits still in |0>: Z and S on such qubits, CZ with either leg
-on one, and CX/CY controlled by one.
+on one, and CX controlled by one.  The optimizer runs the same scan
+(``scan_trivial_gates``) between its rewrite passes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .symplectic import StandardForm
 
 __all__ = [
     "synthesize_encoder",
+    "scan_trivial_gates",
     "strip_trivial_gates",
     "synthesize_syndrome_circuit",
 ]
@@ -116,31 +118,47 @@ def synthesize_encoder(
     return strip_trivial_gates(circuit) if strip else circuit
 
 
+def scan_trivial_gates(gates, roles) -> tuple[list[Gate], list[str]]:
+    """Split ``gates`` into the kept ones and the identities on |0> qubits.
+
+    A forward scan tracks which qubits are still exactly |0>: initially the
+    ``ancilla_zero`` qubits.  Z and S on a tracked qubit, CZ with either
+    qubit tracked, and CX with a tracked control are identities there and
+    are dropped.  A kept H, X or Y takes its qubit out of the set, and a
+    kept CX or CY takes its target out unless its control is tracked; S, Z
+    and CZ fix |0> exactly.  A CY is never dropped.  Returns the kept gates
+    and, for each dropped gate in order, the name of the registered rule
+    (:mod:`stabsynth.rules`) that proves it trivial.
+    """
+    zero = {q for q, role in enumerate(roles, start=1) if role == "ancilla_zero"}
+    kept: list[Gate] = []
+    dropped: list[str] = []
+    for g in gates:
+        if g.kind in ("S", "Z") and g.q[0] in zero:
+            dropped.append("phase_zero_elision" if g.kind == "S" else "z_zero_elision")
+        elif g.kind == "CZ" and (g.q[0] in zero or g.q[1] in zero):
+            dropped.append("cz_zero_leg_elision")
+        elif g.kind == "CX" and g.control in zero:
+            dropped.append("cnot_zero_control_elision")
+        else:
+            kept.append(g)
+            if g.kind in ("H", "X", "Y"):
+                zero.discard(g.q[0])
+            elif g.kind in ("CX", "CY") and g.control not in zero:
+                zero.discard(g.target)
+    return kept, dropped
+
+
 def strip_trivial_gates(c: Circuit) -> Circuit:
     """Remove gates that provably act as the identity on |0> qubits.
 
-    A forward scan tracks which qubits are still exactly |0>: initially the
-    ancilla_zero set, and a qubit leaves the set when any surviving gate
-    touches it.  Z and S on a tracked qubit, CZ with either qubit tracked,
-    and CX/CY with a tracked control are identities and are dropped.
+    The gates dropped are those of :func:`scan_trivial_gates`; a note
+    records how many.
     """
-    zero = set(c.ancilla_qubits())
-    kept: list[Gate] = []
-    for g in c.gates:
-        removable = False
-        if g.kind in ("Z", "S"):
-            removable = g.q[0] in zero
-        elif g.kind == "CZ":
-            removable = g.q[0] in zero or g.q[1] in zero
-        elif g.kind in ("CX", "CY"):
-            removable = g.control in zero
-        if removable:
-            continue
-        kept.append(g)
-        zero.difference_update(g.q)
-    if len(kept) == len(c.gates):
+    kept, dropped = scan_trivial_gates(c.gates, c.roles)
+    if not dropped:
         return c
-    return c.replace_gates(kept, note=f"stripped {len(c.gates) - len(kept)} trivial gates")
+    return c.replace_gates(kept, note=f"stripped {len(dropped)} trivial gates")
 
 
 def synthesize_syndrome_circuit(sf: StandardForm, *, name: str = "syndrome") -> Circuit:

@@ -27,9 +27,12 @@ extracted CNOT blocks at ``level="full"``, splits the frame into the
 report, and re-simulates the result against the input — a mismatch is a
 hard error, never a silent fallback.
 
-Every window rewrite used here is a registered, registration-verified
-rule from :mod:`stabsynth.rules`; the two dataflow passes (strip, ports)
-additionally rely on proven-|0> tracking and exact GF(2) label algebra.
+Window rewrites are applied from the registry: each replacement is
+instantiated from a registered, registration-verified rule of
+:mod:`stabsynth.rules`.  The strip pass is the encoder's proven-|0> scan
+(:func:`stabsynth.encoder.scan_trivial_gates`); gate moves and the two
+dataflow passes (ports, fold), which rest on exact GF(2) label algebra,
+have no rule template and are covered by the final equivalence proof.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .circuit import Circuit, Gate, gate_counts
+from .encoder import scan_trivial_gates
 from .gf2 import min_weight_solution
 from .linear import (
     DEFAULT_SEARCH_BUDGET,
@@ -53,11 +57,9 @@ from .rules import REGISTRY, gates_commute
 from .simulator import circuits_equivalent
 
 __all__ = [
-    "CnotBlock",
     "OptimizationError",
     "OptimizationReport",
     "apply_rules",
-    "extract_cnot_blocks",
     "frame_from_notes",
     "optimize",
 ]
@@ -70,14 +72,6 @@ _FRAME_NOTE = re.compile(r"^pauli frame: (.+)$")
 
 class OptimizationError(RuntimeError):
     """The optimizer's internal equivalence check failed."""
-
-
-@dataclass(frozen=True)
-class CnotBlock:
-    """A maximal run of consecutive CX gates in a reordered gate list."""
-
-    span: range
-    gates: tuple[Gate, ...]
 
 
 @dataclass
@@ -102,56 +96,32 @@ class OptimizationReport:
 
 
 # ---------------------------------------------------------------------------
-# proven-|0> tracking
-
-
-def _initial_zero(circuit: Circuit) -> set[int]:
-    return {
-        q + 1 for q, role in enumerate(circuit.roles) if role == "ancilla_zero"
-    }
-
-
-def _advance_zero(zero: set[int], g: Gate) -> None:
-    """Update the proven-|0> set after ``g`` executes."""
-    if g.kind in ("H", "X", "Y"):
-        zero.discard(g.q[0])
-    elif g.kind in ("CX", "CY"):
-        c, t = g.q
-        if c not in zero:
-            zero.discard(t)
-    # S, Z and CZ fix |0> wires exactly, so the set is unchanged.
-
-
-# ---------------------------------------------------------------------------
 # passes
+
+# Firings that are not window rewrites: gate moves and the two dataflow
+# passes.  They have no registered template; the final equivalence proof
+# in ``optimize`` covers them.
+_UNTEMPLATED = ("gate_commutation_move", "port_minimization", "fanin_fold")
 
 
 class _Fires(dict):
     def hit(self, name: str, times: int = 1) -> None:
-        if name not in REGISTRY and name not in (
-            "gate_commutation_move", "port_minimization", "fanin_fold",
-        ):
+        if name not in REGISTRY and name not in _UNTEMPLATED:
             raise KeyError(f"firing unregistered rule {name!r}")
         self[name] = self.get(name, 0) + times
+
+    def apply(self, name: str, *wires: int) -> list[Gate]:
+        """Count rule ``name`` and return its replacement, slot i on wires[i-1]."""
+        self.hit(name)
+        return list(REGISTRY[name].instantiate(dict(enumerate(wires, start=1))))
 
 
 def _pass_strip(gates, circuit, fires):
     """Drop gates that provably act trivially on |0> wires."""
-    zero = _initial_zero(circuit)
-    out = []
-    for g in gates:
-        if g.kind in ("S", "Z") and g.q[0] in zero:
-            fires.hit("phase_zero_elision" if g.kind == "S" else "z_zero_elision")
-            continue
-        if g.kind == "CZ" and (g.q[0] in zero or g.q[1] in zero):
-            fires.hit("cz_zero_leg_elision")
-            continue
-        if g.kind == "CX" and g.q[0] in zero:
-            fires.hit("cnot_zero_control_elision")
-            continue
-        _advance_zero(zero, g)
-        out.append(g)
-    return out
+    kept, dropped = scan_trivial_gates(gates, circuit.roles)
+    for name in dropped:
+        fires.hit(name)
+    return kept
 
 
 def _pass_retarget(gates, fires):
@@ -159,9 +129,7 @@ def _pass_retarget(gates, fires):
     out = []
     for g in gates:
         if g.kind == "CY":
-            c, t = g.q
-            out += [Gate("CZ", (c, t)), Gate("CX", (c, t)), Gate("S", (c,))]
-            fires.hit("cy_to_cz_cx_s")
+            out += fires.apply("cy_to_cz_cx_s", *g.q)
         else:
             out.append(g)
 
@@ -182,8 +150,9 @@ def _pass_retarget(gates, fires):
                     other = g.q[0] if g.q[1] == leg else g.q[1]
                     if g.q[0] == leg:
                         fires.hit("cz_control_target_swap")
-                    out[j - 1:j + 1] = [Gate("CX", (other, leg)), Gate("H", (leg,))]
-                    fires.hit("cz_from_cx_conjugation")
+                    out[j - 1:j + 1] = fires.apply(
+                        "cz_from_cx_conjugation", leg, other
+                    )
                     changed = True
                     break
                 if gates_commute(prev, g):
@@ -198,9 +167,7 @@ def _pass_retarget(gates, fires):
     expanded = []
     for g in out:
         if g.kind == "CZ":
-            a, b = g.q
-            expanded += [Gate("H", (b,)), Gate("CX", (a, b)), Gate("H", (b,))]
-            fires.hit("cz_via_hadamards")
+            expanded += fires.apply("cz_via_hadamards", *g.q)
         else:
             expanded.append(g)
     return expanded
@@ -211,6 +178,7 @@ _PAIR_RULE = {
     "CX": "cx_pair_cancellation",
     "CZ": "cz_pair_cancellation",
     "Z": "z_pair_cancellation",
+    "S": "s_pair_merge",
 }
 
 
@@ -222,18 +190,12 @@ def _pass_cancel(gates, fires):
         changed = False
         for i in range(len(out)):
             g = out[i]
-            if g.kind not in _PAIR_RULE and g.kind != "S":
+            if g.kind not in _PAIR_RULE:
                 continue
             for j in range(i + 1, len(out)):
                 if out[j] == g:
-                    if g.kind == "S":
-                        out[i] = Gate("Z", g.q)
-                        del out[j]
-                        fires.hit("s_pair_merge")
-                    else:
-                        del out[j]
-                        del out[i]
-                        fires.hit(_PAIR_RULE[g.kind])
+                    del out[j]
+                    out[i:i + 1] = fires.apply(_PAIR_RULE[g.kind], *g.q)
                     changed = True
                     break
                 if not gates_commute(g, out[j]):
@@ -276,13 +238,55 @@ def _pass_collect_frame(gates, fires):
     return out, tuple(frame)
 
 
+def _dataflow(gates, roles):
+    """Each wire's GF(2) labels, reads and CX adds, in one forward scan.
+
+    Wires carry labels over a growing basis: logical inputs contribute one
+    column each, every Hadamard output is a fresh column, and a CX XORs
+    its control's label into its target's.  Returns ``(snapshots, reads,
+    adds)``: ``snapshots[i][w]`` is wire ``w``'s label before gate ``i``
+    (one more entry holds the labels after the last gate), ``reads[w]``
+    lists the positions that read ``w`` (H, CX control, S, Z, CZ) and
+    ``adds[w]`` those of the CX gates targeting it.  Returns ``None`` if a
+    gate other than H, CX, S, Z or CZ occurs.
+    """
+    if any(g.kind not in ("H", "CX", "S", "Z", "CZ") for g in gates):
+        return None
+    n = len(roles)
+    labels = [0] * (n + 1)
+    n_cols = 0
+    for q, role in enumerate(roles, start=1):
+        if role == "logical_input":
+            labels[q] = 1 << n_cols
+            n_cols += 1
+    snapshots = [labels[:]]
+    reads: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
+    adds: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
+    for i, g in enumerate(gates):
+        if g.kind == "H":
+            q = g.q[0]
+            reads[q].append(i)
+            labels[q] = 1 << n_cols
+            n_cols += 1
+        elif g.kind == "CX":
+            c, t = g.q
+            reads[c].append(i)
+            adds[t].append(i)
+            labels[t] ^= labels[c]
+        else:
+            # S, Z and CZ read their wires' values through phases.
+            for q in g.q:
+                reads[q].append(i)
+        snapshots.append(labels[:])
+    return snapshots, reads, adds
+
+
 def _pass_ports(gates, circuit, fires):
     """Re-realise each Hadamard's feeding CX gates at minimum weight.
 
-    Wires carry GF(2) labels over a growing basis: logical inputs
-    contribute one column each, and every Hadamard output is a fresh
-    column.  The CX gates targeting a wire between its last reset and its
-    Hadamard build that wire's label; this pass replaces them — when
+    Wires carry the GF(2) labels of :func:`_dataflow`.  The CX gates
+    targeting a wire between its last reset and its Hadamard build that
+    wire's label; this pass replaces them — when
     strictly fewer gates suffice — with CX gates from other wires whose
     labels sum to the same value.  Every insertion point in the window is
     considered, because other wires' labels evolve and the cheapest
@@ -300,80 +304,52 @@ def _pass_ports(gates, circuit, fires):
     position whose other-wire labels equal the previous position's is
     skipped: it would yield the same wires at a later position.
     """
-    if any(g.kind not in ("H", "CX", "S", "Z", "CZ") for g in gates):
-        return list(gates)
-
     n = circuit.n
     out = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        labels = {}
-        n_cols = 0
-        for q in range(1, n + 1):
-            if circuit.roles[q - 1] == "logical_input":
-                labels[q] = 1 << n_cols
-                n_cols += 1
-            else:
-                labels[q] = 0
-        snapshots = [dict(labels)]
-        feeders: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
-        clean: dict[int, bool] = {q: True for q in range(1, n + 1)}
-        reset_label = dict(labels)
-        reset_pos = {q: 0 for q in range(1, n + 1)}
-
+    while True:
+        flow = _dataflow(out, circuit.roles)
+        if flow is None:
+            return out
+        snapshots, reads, adds = flow
+        start = dict.fromkeys(range(1, n + 1), 0)
         for i, g in enumerate(out):
-            if g.kind == "H":
-                q = g.q[0]
-                delta = labels[q] ^ reset_label[q]
-                old = feeders[q]
-                if clean[q] and old:
-                    wires = [w for w in range(1, n + 1) if w != q]
-                    best = None
-                    cap = len(old) - 1
-                    prev_rows = None
-                    for pos in range(reset_pos[q], i + 1):
-                        snap = snapshots[pos]
-                        rows = [snap[w] for w in wires]
-                        if rows == prev_rows:
-                            continue
-                        prev_rows = rows
-                        sol = min_weight_solution(rows, delta, cap)
-                        if sol is None:
-                            continue
-                        key = (len(sol), pos, sol)
-                        if best is None or key < best:
-                            best = key
-                        cap = best[0] - 1
-                    if best is not None and best[0] < len(old):
-                        _weight, pos, sol = best
-                        new = [Gate("CX", (wires[s], q)) for s in sol]
-                        for idx in reversed(old):
-                            del out[idx]
-                        pos -= sum(1 for idx in old if idx < pos)
-                        out[pos:pos] = new
-                        fires.hit("port_minimization")
-                        changed = True
-                        break
-                labels[q] = 1 << n_cols
-                n_cols += 1
-                reset_label[q] = labels[q]
-                reset_pos[q] = i + 1
-                feeders[q] = []
-                clean[q] = True
-            elif g.kind == "CX":
-                c, t = g.q
-                if feeders[c]:
-                    clean[c] = False
-                labels[t] ^= labels[c]
-                feeders[t].append(i)
-            else:
-                # S, Z and CZ read their wires' values through phases.
-                for q in g.q:
-                    if feeders[q]:
-                        clean[q] = False
-            snapshots.append(dict(labels))
-    return out
+            if g.kind != "H":
+                continue
+            q = g.q[0]
+            # The window runs from just after the wire's previous Hadamard.
+            lo, start[q] = start[q], i + 1
+            old = [a for a in adds[q] if lo <= a < i]
+            if not old or any(old[0] < r < i for r in reads[q]):
+                continue
+            delta = snapshots[i][q] ^ snapshots[lo][q]
+            wires = [w for w in range(1, n + 1) if w != q]
+            best = None
+            cap = len(old) - 1
+            prev_rows = None
+            for pos in range(lo, i + 1):
+                snap = snapshots[pos]
+                rows = [snap[w] for w in wires]
+                if rows == prev_rows:
+                    continue
+                prev_rows = rows
+                sol = min_weight_solution(rows, delta, cap)
+                if sol is None:
+                    continue
+                key = (len(sol), pos, sol)
+                if best is None or key < best:
+                    best = key
+                cap = best[0] - 1
+            if best is not None and best[0] < len(old):
+                _weight, pos, sol = best
+                new = [Gate("CX", (wires[s], q)) for s in sol]
+                for idx in reversed(old):
+                    del out[idx]
+                pos -= sum(1 for idx in old if idx < pos)
+                out[pos:pos] = new
+                fires.hit("port_minimization")
+                break
+        else:
+            return out
 
 
 def _pass_fold(gates, circuit, fires):
@@ -385,43 +361,15 @@ def _pass_fold(gates, circuit, fires):
     CX(s, t) — one at each end of the span, letting ``s`` carry the
     difference.  The replacement is exact provided nothing reads ``t``
     strictly inside the span, which the pass checks.  Wires are labelled
-    as in the port pass: logical inputs and each Hadamard output
-    contribute one GF(2) basis column.
+    by :func:`_dataflow`.
     """
-    if any(g.kind not in ("H", "CX", "S", "Z", "CZ") for g in gates):
-        return list(gates)
-
     n = circuit.n
     out = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        labels = {}
-        n_cols = 0
-        for q in range(1, n + 1):
-            if circuit.roles[q - 1] == "logical_input":
-                labels[q] = 1 << n_cols
-                n_cols += 1
-            else:
-                labels[q] = 0
-        snapshots = [dict(labels)]
-        adds: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
-        reads: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
-        for i, g in enumerate(out):
-            if g.kind == "H":
-                q = g.q[0]
-                reads[q].append(i)
-                labels[q] = 1 << n_cols
-                n_cols += 1
-            elif g.kind == "CX":
-                c, t = g.q
-                reads[c].append(i)
-                adds[t].append(i)
-                labels[t] ^= labels[c]
-            else:
-                for q in g.q:
-                    reads[q].append(i)
-            snapshots.append(dict(labels))
+    while True:
+        flow = _dataflow(out, circuit.roles)
+        if flow is None:
+            return out
+        snapshots, reads, adds = flow
 
         best = None
         for t in range(1, n + 1):
@@ -462,25 +410,24 @@ def _pass_fold(gates, circuit, fires):
                                     best = key
                         if delta == 0:
                             break
-        if best is not None:
-            neg_gain, t, subset, di, dj, s = best
-            members = set(subset)
-            i = subset[0] - di
-            j = subset[-1] + 1 + dj
-            rebuilt = []
-            for k, g in enumerate(out):
-                if k == i and neg_gain != -len(subset):
-                    rebuilt.append(Gate("CX", (s, t)))
-                if k == j and neg_gain != -len(subset):
-                    rebuilt.append(Gate("CX", (s, t)))
-                if k not in members:
-                    rebuilt.append(g)
-            if j == len(out) and neg_gain != -len(subset):
+        if best is None:
+            return out
+        neg_gain, t, subset, di, dj, s = best
+        members = set(subset)
+        i = subset[0] - di
+        j = subset[-1] + 1 + dj
+        rebuilt = []
+        for k, g in enumerate(out):
+            if k == i and neg_gain != -len(subset):
                 rebuilt.append(Gate("CX", (s, t)))
-            out = rebuilt
-            fires.hit("fanin_fold")
-            changed = True
-    return out
+            if k == j and neg_gain != -len(subset):
+                rebuilt.append(Gate("CX", (s, t)))
+            if k not in members:
+                rebuilt.append(g)
+        if j == len(out) and neg_gain != -len(subset):
+            rebuilt.append(Gate("CX", (s, t)))
+        out = rebuilt
+        fires.hit("fanin_fold")
 
 
 def _pass_triangles(gates, fires):
@@ -506,8 +453,9 @@ def _pass_triangles(gates, fires):
                         if g1 == want:
                             seg1 = out[i + 1:j]
                             seg2 = out[j + 1:k]
-                            out[i:k + 1] = seg1 + [g3, g1] + seg2
-                            fires.hit("triangle_contraction")
+                            out[i:k + 1] = seg1 + fires.apply(
+                                "triangle_contraction", a, b, c
+                            ) + seg2
                             changed = True
                             break
                         if not gates_commute(g1, want):
@@ -539,28 +487,6 @@ def _bubble_singles(gates):
                 out[i - 1], out[i] = g, prev
                 moved = True
     return out
-
-
-def extract_cnot_blocks(circuit: Circuit) -> list[CnotBlock]:
-    """Maximal contiguous CX runs, after commuting single-qubit gates away.
-
-    Single-qubit gates are first bubbled leftward past any two-qubit gate
-    they commute with, so runs interrupted only by movable gates merge.
-    Spans index into that reordered gate list.
-    """
-    reordered = _bubble_singles(circuit.gates)
-    blocks = []
-    start = None
-    for i, g in enumerate(reordered + [Gate("H", (1,))]):
-        if i < len(reordered) and g.kind == "CX":
-            if start is None:
-                start = i
-        elif start is not None:
-            blocks.append(
-                CnotBlock(range(start, i), tuple(reordered[start:i]))
-            )
-            start = None
-    return blocks
 
 
 def _resynthesize_blocks(gates, n, budget, report):
@@ -727,6 +653,13 @@ def _staged_resynthesis(gates, circuit, budget, witnesses, report):
 # entry points
 
 
+def _check_choice(value: str, choices: tuple[str, ...], what: str) -> None:
+    if value not in choices:
+        raise ValueError(
+            f"unknown {what} {value!r}; choose from {', '.join(choices)}"
+        )
+
+
 def _pipeline(circuit: Circuit, fires: _Fires):
     gates = _pass_strip(circuit.gates, circuit, fires)
     gates = _pass_retarget(gates, fires)
@@ -749,11 +682,7 @@ def apply_rules(circuit: Circuit, *, target_gates: str = "cnot-h") -> Circuit:
     The result is a self-contained exact equivalent of the input: any
     residual diagonal Pauli frame stays in the gate list, at the end.
     """
-    if target_gates not in TARGET_GATE_SETS:
-        raise ValueError(
-            f"unknown target gate set {target_gates!r}; choose from "
-            f"{', '.join(TARGET_GATE_SETS)}"
-        )
+    _check_choice(target_gates, TARGET_GATE_SETS, "target gate set")
     fires = _Fires()
     gates, frame, _ = _pipeline(circuit, fires)
     return circuit.replace_gates(
@@ -800,16 +729,8 @@ def optimize(
     ``report.blocks_resynthesized`` names the ``method`` whose gates
     replaced the region: ``"search"``, ``"witness"`` or ``"gaussian"``.
     """
-    if level not in LEVELS:
-        raise ValueError(
-            f"unknown optimization level {level!r}; choose from "
-            f"{', '.join(LEVELS)}"
-        )
-    if target_gates not in TARGET_GATE_SETS:
-        raise ValueError(
-            f"unknown target gate set {target_gates!r}; choose from "
-            f"{', '.join(TARGET_GATE_SETS)}"
-        )
+    _check_choice(level, LEVELS, "optimization level")
+    _check_choice(target_gates, TARGET_GATE_SETS, "target gate set")
     if search_budget < 0:
         raise ValueError(
             f"search budget must be non-negative, got {search_budget}"
@@ -841,15 +762,13 @@ def optimize(
             "retargeted baseline; this is a bug in the rewrite passes"
         )
 
-    notes = [f"optimized: level={level}"]
+    notes = circuit.notes + (f"optimized: level={level}",)
     if frame:
-        notes.append("pauli frame: " + " ".join(str(g) for g in frame))
-    result = circuit.replace_gates(tuple(gates), note=notes[0])
-    for extra in notes[1:]:
-        result = Circuit(
-            result.n, result.gates, result.roles, name=result.name,
-            notes=result.notes + (extra,), measurements=result.measurements,
-        )
+        notes += ("pauli frame: " + " ".join(str(g) for g in frame),)
+    result = Circuit(
+        circuit.n, gates, circuit.roles, name=circuit.name, notes=notes,
+        measurements=circuit.measurements,
+    )
 
     with_frame = Circuit(
         result.n, result.gates + frame, result.roles, name=result.name,

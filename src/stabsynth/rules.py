@@ -252,12 +252,13 @@ def _verify_commutation_predicate() -> None:
         for t in (1, 2, 3)
         if c != t
     ]
+    unitaries = {g: _unitary([g], 3) for g in gates}
     for a in gates:
-        ua = _unitary([a], 3)
+        ua = unitaries[a]
         for b in gates:
             if not gates_commute(a, b):
                 continue
-            ub = _unitary([b], 3)
+            ub = unitaries[b]
             if not np.allclose(ua @ ub, ub @ ua, atol=1e-12):
                 raise AssertionError(
                     f"commutation predicate wrongly passes {a} and {b}"

@@ -5,10 +5,31 @@ runs) are computed once per session and shared across test modules so
 the whole suite stays fast.
 """
 
+import numpy as np
 import pytest
 
 from stabsynth.encoder import synthesize_encoder
-from stabsynth.library import SHIPPED_CODES, load_code, run_golden_pipeline
+from stabsynth.library import SHIPPED_CODES, load_code, loads_stab, run_golden_pipeline
+
+
+def random_code(rng, n, k):
+    """An unsigned [[n, k]] code: Z on n - k qubits, conjugated by random
+    H, S and CX gates acting on the rows' symplectic vectors."""
+    x = np.zeros((n - k, n), dtype=np.uint8)
+    z = np.eye(n - k, n, dtype=np.uint8)
+    for _ in range(12 * n):
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        kind = rng.integers(3)
+        if kind == 0:
+            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
+        elif kind == 1:
+            z[:, a] ^= x[:, a]
+        else:
+            x[:, b] ^= x[:, a]
+            z[:, a] ^= z[:, b]
+    rows = ["".join("IXZY"[xb + 2 * zb] for xb, zb in zip(xr, zr))
+            for xr, zr in zip(x, z)]
+    return loads_stab(f"name: random\nn: {n}\nk: {k}\n" + "\n".join(rows))
 
 
 @pytest.fixture(scope="session")

@@ -91,6 +91,24 @@ def test_verify_catches_tampering(capsys, tmp_path, mixed_eight):
     assert out.rstrip().endswith("FAIL")
 
 
+def test_verify_allow_frame_rejects_a_phase_on_a_logical_wire(
+    capsys, tmp_path, mixed_eight
+):
+    # S on a logical wire multiplies some amplitudes by i, which no Z frame
+    # and no sign flip explains.
+    circuit = from_json(mixed_eight.read_text())
+    twisted = circuit.replace_gates(
+        circuit.gates + (Gate("S", (circuit.logical_qubits()[0],)),)
+    )
+    path = tmp_path / "twisted.json"
+    path.write_text(to_json(twisted))
+    code, out, _ = run_cli(
+        capsys, "verify", "eight_qubit", str(path), "--allow-frame"
+    )
+    assert code == 1
+    assert out.rstrip().endswith("FAIL")
+
+
 def test_verify_rejects_wrong_code(capsys, mixed_eight):
     code, _, err = run_cli(capsys, "verify", "steane", str(mixed_eight))
     assert code == 2

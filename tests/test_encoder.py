@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from stabsynth.circuit import Gate, gate_counts
+from conftest import random_code
+from stabsynth.circuit import Circuit, Gate, gate_counts
 from stabsynth.encoder import (
+    GATE_SETS,
+    scan_trivial_gates,
     strip_trivial_gates,
     synthesize_encoder,
     synthesize_syndrome_circuit,
 )
-from stabsynth.simulator import StateVector, apply_gate, logical_label
+from stabsynth.rules import REGISTRY
+from stabsynth.simulator import (
+    StateVector,
+    apply_gate,
+    circuits_equivalent,
+    logical_label,
+)
 from stabsynth.symplectic import CheckMatrix, standard_form
 
 MIXED_EIGHT_GATES = [
@@ -36,6 +45,88 @@ def test_strip_removes_only_provable_identities(forms):
     # Each removed CZ has a leg still provably |0> at its position, so the
     # stripped circuit acts identically on every valid input.
     assert "stripped 3 trivial gates" in stripped.notes
+
+
+def _reference_strip(c):
+    """The encoder's strip before it shared the optimizer's scan: any kept
+    gate takes its qubits out of the |0> set, and a CY with a |0> control
+    is dropped like a CX."""
+    zero = set(c.ancilla_qubits())
+    kept = []
+    for g in c.gates:
+        removable = False
+        if g.kind in ("Z", "S"):
+            removable = g.q[0] in zero
+        elif g.kind == "CZ":
+            removable = g.q[0] in zero or g.q[1] in zero
+        elif g.kind in ("CX", "CY"):
+            removable = g.control in zero
+        if removable:
+            continue
+        kept.append(g)
+        zero.difference_update(g.q)
+    if len(kept) == len(c.gates):
+        return c
+    return c.replace_gates(
+        kept, note=f"stripped {len(c.gates) - len(kept)} trivial gates"
+    )
+
+
+def test_strip_matches_the_reference_on_encoders(forms):
+    rng = np.random.default_rng(11)
+    sfs = list(forms.values()) + [
+        random_code(rng, n, int(rng.integers(1, 4))).standard_form()
+        for n in (4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10)
+    ]
+    stripped_any = 0
+    for sf in sfs:
+        for gate_set in GATE_SETS:
+            for strip in (True, False):
+                encoder = synthesize_encoder(sf, gate_set=gate_set, strip=strip)
+                assert strip_trivial_gates(encoder) == _reference_strip(encoder)
+            raw = synthesize_encoder(sf, gate_set=gate_set, strip=False)
+            assert synthesize_encoder(sf, gate_set=gate_set) == (
+                _reference_strip(raw)
+            )
+            stripped_any += _reference_strip(raw) != raw
+    assert stripped_any >= 10
+
+
+def test_strip_keeps_a_cy_with_a_zero_control():
+    # Where the shared scan and the old encoder strip differ: a CY is
+    # never dropped, so it survives, and the CX after it is still
+    # controlled by |0> and goes.
+    gates = (Gate("CY", (2, 1)), Gate("CX", (2, 1)))
+    c = Circuit(2, gates, ("logical_input", "ancilla_zero"))
+    assert strip_trivial_gates(c).gates == (Gate("CY", (2, 1)),)
+    assert _reference_strip(c).gates == ()
+    assert scan_trivial_gates(gates, c.roles) == (
+        [Gate("CY", (2, 1))], ["cnot_zero_control_elision"]
+    )
+
+
+def test_scan_tracks_zero_wires_through_kept_gates():
+    c = Circuit(3, (
+        Gate("S", (2,)), Gate("Z", (3,)), Gate("CZ", (1, 2)),
+        Gate("CX", (2, 1)),
+        Gate("CY", (2, 3)),  # kept, and its |0> control leaves wire 3 |0>
+        Gate("CZ", (3, 1)),
+        Gate("CX", (1, 2)),  # wire 2 leaves the set
+        Gate("S", (2,)), Gate("CZ", (2, 3)),
+        Gate("H", (3,)),  # wire 3 leaves the set
+        Gate("Z", (3,)), Gate("CZ", (2, 3)),
+    ), ("logical_input", "ancilla_zero", "ancilla_zero"))
+    kept, dropped = scan_trivial_gates(c.gates, c.roles)
+    assert kept == [c.gates[i] for i in (4, 6, 7, 9, 10, 11)]
+    assert dropped == [
+        "phase_zero_elision", "z_zero_elision", "cz_zero_leg_elision",
+        "cnot_zero_control_elision", "cz_zero_leg_elision",
+        "cz_zero_leg_elision",
+    ]
+    assert all(name in REGISTRY for name in dropped)
+    assert circuits_equivalent(
+        strip_trivial_gates(c), c, up_to_global_phase=False
+    )
 
 
 def test_first_stage_prefix_state(mixed_encoders):

@@ -5,11 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_code as _random_code
 from stabsynth import gf2, optimizer
 from stabsynth.circuit import Circuit, Gate, gate_counts, to_json
 from stabsynth.encoder import synthesize_encoder
-from stabsynth.library import loads_stab
-from stabsynth.optimizer import OptimizationError, frame_from_notes, optimize
+from stabsynth.optimizer import (
+    OptimizationError,
+    apply_rules,
+    frame_from_notes,
+    optimize,
+)
 from stabsynth.simulator import circuits_equivalent
 
 EIGHT_RULES_FIRED = {
@@ -158,26 +163,6 @@ def test_ports_tries_each_position_where_a_label_changes(moved):
     assert report.rules_fired == {"port_minimization": 1}
 
 
-def _random_code(rng, n, k):
-    """An unsigned [[n, k]] code: Z on n - k qubits, conjugated by random
-    H, S and CX gates acting on the rows' symplectic vectors."""
-    x = np.zeros((n - k, n), dtype=np.uint8)
-    z = np.eye(n - k, n, dtype=np.uint8)
-    for _ in range(12 * n):
-        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
-        kind = rng.integers(3)
-        if kind == 0:
-            x[:, a], z[:, a] = z[:, a].copy(), x[:, a].copy()
-        elif kind == 1:
-            z[:, a] ^= x[:, a]
-        else:
-            x[:, b] ^= x[:, a]
-            z[:, a] ^= z[:, b]
-    rows = ["".join("IXZY"[xb + 2 * zb] for xb, zb in zip(xr, zr))
-            for xr, zr in zip(x, z)]
-    return loads_stab(f"name: random\nn: {n}\nk: {k}\n" + "\n".join(rows))
-
-
 def _rules_outcome(encoder):
     optimized, report = optimize(encoder, level="rules")
     return to_json(optimized) + report.to_json(), report.rules_fired.get(
@@ -201,3 +186,21 @@ def test_port_prunes_are_exact(forms, monkeypatch):
     uncapped = [_rules_outcome(e) for e in encoders]
     assert shipped == uncapped
     assert sum(fired for _out, fired in shipped) >= 10
+
+
+def test_apply_rules_is_optimize_with_its_frame(forms):
+    # Encoder-shaped inputs only: the rules level proves every one.
+    rng = np.random.default_rng(4)
+    sfs = list(forms.values()) + [
+        _random_code(rng, n, int(rng.integers(1, 3))).standard_form()
+        for n in (5, 6, 7, 8)
+    ]
+    for sf in sfs:
+        for gate_set in ("mixed", "cnot_cz"):
+            encoder = synthesize_encoder(sf, gate_set=gate_set)
+            rewritten = apply_rules(encoder)
+            optimized, report = optimize(encoder, level="rules")
+            assert rewritten.gates == optimized.gates + report.frame
+            assert circuits_equivalent(
+                rewritten, encoder, up_to_global_phase=False
+            )

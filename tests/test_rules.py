@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stabsynth import rules
 from stabsynth.circuit import Gate
 from stabsynth.rules import REGISTRY, RewriteRule, gates_commute, register, rule
 from stabsynth.simulator import StateVector, apply_gate
@@ -85,3 +86,10 @@ def test_known_commutation_calls():
     assert gates_commute(Gate("Z", (1,)), Gate("CX", (1, 2)))
     assert not gates_commute(Gate("Z", (2,)), Gate("CX", (1, 2)))
     assert not gates_commute(Gate("H", (1,)), Gate("CX", (1, 2)))
+
+
+def test_import_time_check_rejects_a_wrong_predicate(monkeypatch):
+    rules._verify_commutation_predicate()
+    monkeypatch.setattr(rules, "gates_commute", lambda a, b: True)
+    with pytest.raises(AssertionError, match="wrongly passes"):
+        rules._verify_commutation_predicate()
