@@ -128,21 +128,18 @@ def _cmd_syndromes(args) -> int:
     return 0
 
 
-def _solve_frame(pairs: list[tuple[str, int]], n: int) -> list[int] | None:
-    """Wires of a terminal Z frame explaining per-label sign flips.
+def _solve_frame(indices, signs, n: int) -> list[int] | None:
+    """Wires of a terminal Z frame explaining per-amplitude sign flips.
 
-    ``pairs`` holds (basis label, sign bit) rows; a frame on wire set F
-    predicts sign = XOR of the label bits on F.  Returns a sorted wire
-    list, or None when no frame is consistent.
+    ``indices`` are basis indices, which are the label bits as a ``gf2``
+    row (qubit 1 the most significant bit), and ``signs`` their sign bits;
+    a frame on wire set F predicts sign = XOR of the label bits on F.
+    Returns a sorted wire list, or None when no frame is consistent.
     """
-    mat = np.array(
-        [[int(b) for b in label] for label, _ in pairs], dtype=np.uint8
-    ).reshape(len(pairs), n)
-    rhs = np.array([s for _, s in pairs], dtype=np.uint8)
-    f = gf2_solve(mat, rhs)
+    f = gf2_solve(indices, signs)
     if f is None:
         return None
-    return [q + 1 for q in range(n) if f[q]]
+    return [q for q in range(1, n + 1) if f >> (n - q) & 1]
 
 
 def _cmd_verify(args) -> int:
@@ -159,7 +156,8 @@ def _cmd_verify(args) -> int:
             f"but {code.name} has k={sf.k}"
         )
 
-    sign_rows: list[tuple[str, int]] = []
+    indices: list[int] = []
+    signs: list[bool] = []
     outputs: list[tuple[str, StateVector, StateVector]] = []
     consistent = True
     for i in range(2**sf.k):
@@ -167,20 +165,19 @@ def _cmd_verify(args) -> int:
         out = run(circuit, logical_label(circuit, bits))
         oracle = projector_encode(sf, bits)
         outputs.append((bits, out, oracle))
-        for idx in range(2**sf.n):
-            a, b = out.amps[idx], oracle.amps[idx]
-            if abs(a) < 1e-10 and abs(b) < 1e-10:
-                continue
-            if abs(a - b) < 1e-10:
-                sign_rows.append((format(idx, f"0{sf.n}b"), 0))
-            elif abs(a + b) < 1e-10:
-                sign_rows.append((format(idx, f"0{sf.n}b"), 1))
-            else:
-                consistent = False
+        a, b = out.amps, oracle.amps
+        live = ~((np.abs(a) < 1e-10) & (np.abs(b) < 1e-10))
+        same = live & (np.abs(a - b) < 1e-10)
+        flip = live & ~same & (np.abs(a + b) < 1e-10)
+        signed = same | flip
+        if (live & ~signed).any():
+            consistent = False
+        indices += np.flatnonzero(signed).tolist()
+        signs += flip[signed].tolist()
 
     frame_wires: list[int] = []
     if args.allow_frame and consistent:
-        solved = _solve_frame(sign_rows, sf.n) if sign_rows else []
+        solved = _solve_frame(indices, signs, sf.n)
         if solved is None:
             consistent = False
         else:

@@ -1,24 +1,23 @@
-"""GF(2) linear algebra: dense numpy matrices and int bitmask columns.
+"""GF(2) linear algebra on int bit-rows.
 
-The matrix helpers take 2-D numpy arrays of dtype uint8 whose entries are
-0 or 1; addition is XOR.  ``min_weight_solution`` instead takes each column
-as a Python int bitmask, so its subset enumeration is plain int XOR.  These
-helpers are deliberately small and allocation-light — the callers
-(standard-form reduction, region resynthesis, port solving) run them
-inside tight loops.
+A matrix is a tuple of Python ints, one per row, with column 0 as the most
+significant bit: the row ``"0110"`` is the int ``0b0110``, and column
+``j`` of an ``n``-column matrix is bit ``n - 1 - j``.  Addition is XOR, so
+a row operation is one int XOR.  ``as_bits`` is the one conversion into
+this layout.  One echelon routine keys rows by their leading bit and
+serves ``rank``, ``invertible``, ``solve`` and the span check of
+``min_weight_solution``, whose columns are int bitmasks in the same way.
+These helpers are deliberately small and allocation-light — the callers
+(standard-form checks, region resynthesis, port solving, the CLI frame
+solve) run them inside tight loops.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 __all__ = [
     "as_bits",
-    "identity",
-    "mat_mul",
-    "row_echelon",
     "rank",
     "invertible",
     "solve",
@@ -26,90 +25,82 @@ __all__ = [
 ]
 
 
-def as_bits(rows) -> np.ndarray:
-    """Coerce a matrix-like (list of 0/1 iterables or bit strings) to uint8.
+def as_bits(rows) -> tuple[int, ...]:
+    """Int rows of a matrix-like, column 0 as the most significant bit.
 
-    Accepts strings like "0110" as rows for convenience in tests and code
-    files.
+    A row may be an int (kept as it is), a bit string such as ``"0110"``
+    or a sequence of 0/1 values; a 2-D numpy array is a sequence of such
+    rows.
     """
-    if isinstance(rows, np.ndarray):
-        return (rows.astype(np.uint8) & 1).copy()
-    parsed = []
+    out = []
     for row in rows:
-        if isinstance(row, str):
-            parsed.append([int(c) for c in row])
-        else:
-            parsed.append([int(b) & 1 for b in row])
-    return np.array(parsed, dtype=np.uint8)
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.uint8)
-
-
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    return (a.astype(np.uint32) @ b.astype(np.uint32) % 2).astype(np.uint8)
-
-
-def row_echelon(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices.
-
-    Works on a copy; does not permute columns.
-    """
-    m = mat.copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
+        if isinstance(row, int):
+            out.append(row)
             continue
-        p = r + hits[0]
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        # clear every other 1 in this column
-        others = np.nonzero(m[:, c])[0]
-        for q in others:
-            if q != r:
-                m[q] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+        bits = 0
+        for b in row:
+            bits = (bits << 1) | (int(b) & 1)
+        out.append(bits)
+    return tuple(out)
 
 
-def rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    _, pivots = row_echelon(mat)
-    return len(pivots)
+def _reduce(row: int, pivots: dict[int, int]) -> int:
+    """``row`` less the pivots of its leading bits, until one has none."""
+    while row:
+        pivot = pivots.get(row.bit_length() - 1)
+        if pivot is None:
+            break
+        row ^= pivot
+    return row
 
 
-def invertible(mat: np.ndarray) -> bool:
-    rows, cols = mat.shape
-    return rows == cols and rank(mat) == rows
+def _echelon(rows) -> dict[int, int]:
+    """Pivot rows keyed by their leading bit.
 
-
-def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs over GF(2), or None if inconsistent.
-
-    ``rhs`` may be a vector or a matrix (solved column-wise).
+    Each row is reduced by the pivots found before it; a row that reduces
+    to zero depends on them and is dropped.
     """
-    rhs = np.atleast_2d(rhs.astype(np.uint8))
-    if rhs.shape[0] != mat.shape[0]:
-        rhs = rhs.T
-    aug = np.concatenate([mat.astype(np.uint8), rhs], axis=1)
-    red, pivots = row_echelon(aug)
-    ncols = mat.shape[1]
-    # any pivot in the augmented part means inconsistency
-    if any(p >= ncols for p in pivots):
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = _reduce(row, pivots)
+        if row:
+            pivots[row.bit_length() - 1] = row
+    return pivots
+
+
+def rank(rows) -> int:
+    return len(_echelon(rows))
+
+
+def invertible(rows) -> bool:
+    """Whether ``rows`` is a square invertible matrix of width ``len(rows)``."""
+    rows = tuple(rows)
+    n = len(rows)
+    return all(row >> n == 0 for row in rows) and rank(rows) == n
+
+
+def solve(rows, rhs) -> int | None:
+    """One x with ``parity(rows[i] & x) == rhs[i]`` for every i, or None.
+
+    ``rhs`` holds one 0/1 value per row; x is an int in the rows' own
+    layout (bit ``n - 1 - j`` is unknown ``j``).  Free unknowns are 0, so
+    x is the solution the reduced row echelon form reads off.
+    """
+    # Each row carries its right-hand side as an extra lowest bit, so a
+    # pivot on that bit alone is a row reading 0 = 1.
+    pivots = _echelon(
+        (row << 1) | (int(b) & 1) for row, b in zip(rows, rhs, strict=True)
+    )
+    if 0 in pivots:
         return None
-    x = np.zeros((ncols, rhs.shape[1]), dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, ncols:]
-    return x if x.shape[1] > 1 else x[:, 0]
+    # y = x << 1 | 1 must have even parity against every pivot.  In
+    # ascending order a pivot meets only bits of y already fixed below its
+    # leading bit, which it then sets or leaves clear.
+    y = 1
+    for top in sorted(pivots):
+        if (pivots[top] & y).bit_count() & 1:
+            y |= 1 << top
+    return y >> 1
 
 
 def min_weight_solution(
@@ -126,20 +117,8 @@ def min_weight_solution(
     """
     if not target:
         return []
-    pivots: dict[int, int] = {}
-    for col in columns:
-        while col:
-            top = col.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = col
-                break
-            col ^= pivots[top]
-    rest = target
-    while rest:
-        top = rest.bit_length() - 1
-        if top not in pivots:
-            return None
-        rest ^= pivots[top]
+    if _reduce(target, _echelon(columns)):
+        return None
     ncols = len(columns)
     if max_weight is None or max_weight > ncols:
         max_weight = ncols

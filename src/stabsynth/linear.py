@@ -7,26 +7,31 @@ matrix over GF(2), and conversely any invertible matrix can be realised
 as a CNOT network.  This module converts between the two representations
 and offers two synthesis strategies: a deterministic Gaussian-elimination
 routine and a budgeted iterative-deepening search for short realisations.
+
+Matrices are ``gf2`` int rows: row ``i`` is the bit carried by qubit
+``i + 1`` as an int whose most significant of ``n`` bits is qubit 1's
+input, so column ``w - 1`` (qubit ``w``) is bit ``n - w``.  The
+synthesis routines accept anything ``gf2.as_bits`` accepts.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .circuit import Gate
-from .gf2 import as_bits, identity, invertible
+from .gf2 import as_bits, rank
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
     "block_to_matrix",
     "care_mask",
     "gaussian_ops",
-    "pack_rows",
-    "resynthesize",
     "search_ops",
 ]
 
 DEFAULT_SEARCH_BUDGET = 50_000
+
+
+def _identity(n):
+    return [1 << (n - 1 - i) for i in range(n)]
 
 
 def block_to_matrix(gates, n):
@@ -37,7 +42,7 @@ def block_to_matrix(gates, n):
     in circuit order; anything other than a CX raises ``ValueError``
     because only CNOT networks are linear in this sense.
     """
-    m = identity(n)
+    m = _identity(n)
     for gate in gates:
         if gate.kind != "CX":
             raise ValueError(
@@ -45,13 +50,17 @@ def block_to_matrix(gates, n):
             )
         c, t = gate.q
         m[t - 1] ^= m[c - 1]
-    return m
+    return tuple(m)
 
 
-def _require_square_invertible(m):
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not invertible(m):
+def _require_square_invertible(rows):
+    n = len(rows)
+    if any(row >> n for row in rows):
+        raise ValueError(
+            f"expected a square matrix, got {n} rows and a row wider "
+            f"than {n} bits"
+        )
+    if rank(rows) < n:
         raise ValueError(
             "matrix is not invertible over GF(2); "
             "only reversible CNOT blocks can be resynthesized"
@@ -67,9 +76,9 @@ def gaussian_ops(matrix):
     recorded additions are replayed in reverse as CX gates.  The result is
     deterministic and lands on the identity matrix as an empty sequence.
     """
-    m = as_bits(matrix).copy()
+    m = list(as_bits(matrix))
     _require_square_invertible(m)
-    n = m.shape[0]
+    n = len(m)
     ops: list[tuple[int, int]] = []
 
     def add(src, dst):
@@ -77,35 +86,25 @@ def gaussian_ops(matrix):
         ops.append((src, dst))
 
     for j in range(n):
-        if not m[j, j]:
-            i = j + int(np.flatnonzero(m[j:, j])[0])
+        bit = 1 << (n - 1 - j)
+        if not m[j] & bit:
+            i = next(i for i in range(j + 1, n) if m[i] & bit)
             add(i, j)
             add(j, i)
             add(i, j)
         for i in range(j + 1, n):
-            if m[i, j]:
+            if m[i] & bit:
                 add(j, i)
     for j in range(n - 1, -1, -1):
+        bit = 1 << (n - 1 - j)
         for i in range(j - 1, -1, -1):
-            if m[i, j]:
+            if m[i] & bit:
                 add(j, i)
     return tuple(Gate("CX", (c + 1, t + 1)) for c, t in reversed(ops))
 
 
-def pack_rows(m):
-    """Rows of a 0/1 matrix as ints, column ``j`` (0-based) at bit ``n-1-j``.
-
-    This is the one packed-row layout of the package: qubit 1's column is
-    the most significant bit, so ``care_mask`` clears bit ``n - w`` for
-    qubit ``w``.
-    """
-    n = m.shape[0]
-    weights = 1 << np.arange(n - 1, -1, -1)
-    return tuple(int(v) for v in m @ weights)
-
-
 def care_mask(n, zero_columns=()):
-    """Packed-row mask of the columns not named in ``zero_columns``.
+    """Row mask of the columns not named in ``zero_columns``.
 
     ``zero_columns`` holds 1-based qubits whose input bit is known to be
     zero; their columns are don't-cares and their bits are cleared.
@@ -151,32 +150,34 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     those columns, since the difference never reaches any state the block
     actually sees.  A witness only needs to agree on the other columns.
 
-    A search state is one int: the ``pack_rows`` row ``i`` sits at bits
+    A search state is one int: matrix row ``i`` sits at bits
     ``[i*n, (i+1)*n)``, so CX(c, t) is a shift, a mask and an XOR, and the
     transposition table is keyed by that int.  A child differs from its
     parent only in row t, so its h is the parent's h corrected by row t
     alone, and the goal test is ``h == 0``: each child costs O(1) where
     rebuilding a row tuple and recounting h cost O(n).  Children are goal-
-    and bound-tested inline, right after the table update, which is
-    exactly what a recursive call did first; a node is entered only when
-    it is expanded, which is where the budget is charged.  Expansion
-    order, table rule and budget accounting are therefore the same as a
-    row-tuple search, node for node, including where the budget runs out.
-    The move undoing the last one needs no special case: its child is the
-    parent, which the table already holds at a smaller depth.
+    and bound-tested inline, which is exactly what a recursive call did
+    first; a node is entered only when it is expanded, which is where the
+    budget is charged.  The table holds only the children that pass the
+    bound test: a child pruned at depth g + 1 is pruned by the bound again
+    at any later visit at the same or a greater depth, so its entry would
+    only grow the table.  Expansion order and budget accounting are the
+    same as a row-tuple search that records every child, node for node,
+    including where the budget runs out.  The move undoing the last one
+    needs no special case: its child is the parent, which the table
+    already holds at a smaller depth.
     """
-    target = as_bits(matrix)
-    _require_square_invertible(target)
-    n = target.shape[0]
+    goal_rows = as_bits(matrix)
+    _require_square_invertible(goal_rows)
+    n = len(goal_rows)
     if budget < 0:
         raise ValueError(f"search budget must be non-negative, got {budget}")
     mask = care_mask(n, zero_columns)
-    goal_rows = pack_rows(target)
 
-    fallback = gaussian_ops(target)
+    fallback = gaussian_ops(goal_rows)
     if witness is not None:
         w = tuple(witness)
-        got = pack_rows(block_to_matrix(w, n))
+        got = block_to_matrix(w, n)
         if any((a ^ b) & mask for a, b in zip(got, goal_rows)):
             raise ValueError("witness does not realize the target matrix")
         if (len(w), _gate_key(w)) < (len(fallback), _gate_key(fallback)):
@@ -184,7 +185,7 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
 
     shifts = [i * n for i in range(n)]
     goal_pairs = list(zip(shifts, goal_rows))
-    start = _pack_state(pack_rows(identity(n)), n)
+    start = _pack_state(_identity(n), n)
     h_start = sum(((start >> s) ^ r) & mask != 0 for s, r in goal_pairs)
     if h_start == 0:
         return ()
@@ -221,7 +222,6 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                 prev = seen.get(child)
                 if prev is not None and prev <= g1:
                     continue
-                seen[child] = g1
                 d = diff[t]
                 hc = h - (d != 0) + (d != care)
                 if hc == 0:
@@ -230,6 +230,7 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                 if hc > slack:
                     fb = g1 + hc
                 else:
+                    seen[child] = g1
                     path.append(gate)
                     found, fb = dfs(child, g1, hc, bound, seen)
                     if found:
@@ -255,24 +256,3 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
 
 class _Exhausted(Exception):
     """Internal signal: the node budget ran out mid-iteration."""
-
-
-def resynthesize(matrix, method="gaussian", *, budget=DEFAULT_SEARCH_BUDGET,
-                 witness=None, zero_columns=()):
-    """Synthesise a CX gate sequence whose transfer matrix is ``matrix``.
-
-    ``method`` selects the strategy: ``"gaussian"`` for deterministic
-    elimination, ``"search"`` for the budgeted iterative-deepening search
-    (optionally seeded with a known ``witness`` realisation and free to
-    treat ``zero_columns`` as don't-cares).  Both accept only square
-    invertible matrices and return a tuple of CX gates.
-    """
-    m = as_bits(matrix)
-    if method == "gaussian":
-        return gaussian_ops(m)
-    if method == "search":
-        return search_ops(m, budget=budget, witness=witness,
-                          zero_columns=zero_columns)
-    raise ValueError(
-        f"unknown resynthesis method {method!r}; use 'gaussian' or 'search'"
-    )

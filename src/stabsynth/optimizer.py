@@ -50,8 +50,7 @@ from .linear import (
     block_to_matrix,
     care_mask,
     gaussian_ops,
-    pack_rows,
-    resynthesize,
+    search_ops,
 )
 from .rules import REGISTRY, gates_commute
 from .simulator import circuits_equivalent
@@ -148,7 +147,7 @@ def _pass_retarget(gates, fires):
                 if prev.kind == "H" and prev.q[0] in g.q:
                     leg = prev.q[0]
                     other = g.q[0] if g.q[1] == leg else g.q[1]
-                    if g.q[0] == leg:
+                    if g.q[1] == leg:
                         fires.hit("cz_control_target_swap")
                     out[j - 1:j + 1] = fires.apply(
                         "cz_from_cx_conjugation", leg, other
@@ -505,7 +504,7 @@ def _resynthesize_blocks(gates, n, budget, report):
         if len(block) < 2:
             continue
         m = block_to_matrix(block, n)
-        better = resynthesize(m, "search", budget=budget, witness=block)
+        better = search_ops(m, budget=budget, witness=block)
         if len(better) < len(block):
             report.blocks_resynthesized.append({
                 "span": [s, e],
@@ -520,14 +519,13 @@ def _resynthesize_blocks(gates, n, budget, report):
 def _best_witness(candidates, matrix, n, zero_columns):
     """Shortest candidate realising ``matrix`` up to the don't-care columns."""
     mask = care_mask(n, zero_columns)
-    want = pack_rows(matrix)
     best = None
     for cand in candidates:
         cand = tuple(cand)
         if any(g.kind != "CX" for g in cand):
             continue
-        got = pack_rows(block_to_matrix(cand, n))
-        if any((a ^ b) & mask for a, b in zip(got, want)):
+        got = block_to_matrix(cand, n)
+        if any((a ^ b) & mask for a, b in zip(got, matrix)):
             continue
         key = (len(cand), tuple(g.q for g in cand))
         if best is None or key < best[0]:
@@ -617,9 +615,8 @@ def _staged_resynthesis(gates, circuit, budget, witnesses, report):
         witness = _best_witness(
             [region, *witnesses], matrix, n, zero_columns
         )
-        searched = resynthesize(
-            matrix, "search", budget=budget, witness=witness,
-            zero_columns=zero_columns,
+        searched = search_ops(
+            matrix, budget=budget, witness=witness, zero_columns=zero_columns
         )
         total = len(front_ports) + len(searched) + sum(
             len(v) for v in fanout.values()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import rank
+from .gf2 import as_bits, rank
 from .pauli import PauliString
 
 __all__ = ["CheckMatrix", "StandardForm", "standard_form", "css_check_matrix"]
@@ -67,8 +67,7 @@ class CheckMatrix:
                     raise ValueError(
                         f"generators {i + 1} and {j + 1} anticommute"
                     )
-        sym = np.array([p.symplectic_row() for p in paulis], dtype=np.uint8)
-        got = rank(sym)
+        got = rank(as_bits(p.symplectic_row() for p in paulis))
         if got < len(paulis):
             raise ValueError(
                 f"generators are linearly dependent: rank {got} < {len(paulis)}"

@@ -10,16 +10,17 @@ from stabsynth.linear import (
     _require_square_invertible,
     block_to_matrix,
     gaussian_ops,
-    resynthesize,
     search_ops,
 )
+
+IDENTITY_4 = gf2.as_bits(["1000", "0100", "0010", "0001"])
 
 
 def test_block_to_matrix_tracks_row_additions():
     m = block_to_matrix([Gate("CX", (1, 2))], 2)
-    assert m.tolist() == [[1, 0], [1, 1]]
+    assert m == (0b10, 0b11)
     m = block_to_matrix([Gate("CX", (1, 2)), Gate("CX", (2, 1))], 2)
-    assert m.tolist() == [[0, 1], [1, 1]]
+    assert m == (0b01, 0b11)
 
 
 def test_block_to_matrix_rejects_non_cx():
@@ -28,8 +29,8 @@ def test_block_to_matrix_rejects_non_cx():
 
 
 def test_identity_needs_no_gates():
-    assert gaussian_ops(gf2.identity(4)) == ()
-    assert search_ops(gf2.identity(4), budget=10) == ()
+    assert gaussian_ops(IDENTITY_4) == ()
+    assert search_ops(IDENTITY_4, budget=10) == ()
 
 
 def test_single_gate_matrix():
@@ -42,26 +43,26 @@ def test_swap_costs_three():
     target = gf2.as_bits(["01", "10"])
     ops = search_ops(target, budget=1000)
     assert len(ops) == 3
-    assert np.array_equal(block_to_matrix(ops, 2), target)
+    assert block_to_matrix(ops, 2) == target
 
 
 def test_rejects_singular_and_non_square():
     with pytest.raises(ValueError, match="not invertible"):
         gaussian_ops(gf2.as_bits(["11", "11"]))
     with pytest.raises(ValueError, match="square"):
-        gaussian_ops(np.zeros((2, 3), dtype=np.uint8))
+        gaussian_ops(gf2.as_bits(["110", "011"]))
 
 
 def test_budget_validation():
     with pytest.raises(ValueError, match="non-negative"):
-        search_ops(gf2.identity(2), budget=-1)
+        search_ops(gf2.as_bits(["10", "01"]), budget=-1)
 
 
 def test_exhausted_budget_falls_back_to_gaussian():
     target = gf2.as_bits(["01", "11"])
     ops = search_ops(target, budget=0)
     assert ops == gaussian_ops(target)
-    assert np.array_equal(block_to_matrix(ops, 2), target)
+    assert block_to_matrix(ops, 2) == target
 
 
 def test_exhausted_budget_prefers_shorter_witness():
@@ -92,23 +93,15 @@ def test_dont_care_columns_relax_the_target():
         search_ops(target, zero_columns=(3,))
 
 
-def test_resynthesize_dispatch():
-    target = gf2.as_bits(["10", "11"])
-    assert resynthesize(target, "gaussian") == (Gate("CX", (1, 2)),)
-    assert resynthesize(target, "search", budget=100) == (Gate("CX", (1, 2)),)
-    with pytest.raises(ValueError, match="unknown resynthesis method"):
-        resynthesize(target, "annealing")
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 7))
 def test_gaussian_round_trip_on_random_invertible_matrices(seed, n):
     rng = np.random.default_rng(seed)
-    m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+    m = gf2.as_bits(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
     while not gf2.invertible(m):
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        m = gf2.as_bits(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
     ops = gaussian_ops(m)
-    assert np.array_equal(block_to_matrix(ops, n), m)
+    assert block_to_matrix(ops, n) == m
 
 
 @settings(max_examples=25, deadline=None)
@@ -116,11 +109,11 @@ def test_gaussian_round_trip_on_random_invertible_matrices(seed, n):
 def test_search_never_beats_correctness(seed):
     rng = np.random.default_rng(seed)
     n = 4
-    m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+    m = gf2.as_bits(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
     while not gf2.invertible(m):
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+        m = gf2.as_bits(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
     ops = search_ops(m, budget=1500)
-    assert np.array_equal(block_to_matrix(ops, n), m)
+    assert block_to_matrix(ops, n) == m
     assert len(ops) <= len(gaussian_ops(m))
 
 
@@ -129,15 +122,12 @@ def test_search_never_beats_correctness(seed):
 #
 # ``_reference_search_ops`` is the row-tuple IDA* that ``search_ops``
 # replaced, kept as a test-only reference and changed only in its name,
-# its imports and its spelled-out default budget: the packed search must
-# return the same gates for every matrix, witness, ``zero_columns`` and
-# budget, including where the budget runs out.
-
-
-def _pack_rows(m):
-    n = m.shape[0]
-    weights = 1 << np.arange(n - 1, -1, -1)
-    return tuple(int(v) for v in m @ weights)
+# its imports, its spelled-out default budget and its input boundary
+# (matrices arrive as int rows, so they are no longer packed here): the
+# packed search must return the same gates for every matrix, witness,
+# ``zero_columns`` and budget, including where the budget runs out.  The
+# reference records every generated child in its table; ``search_ops``
+# records only the children it expands.
 
 
 def _gate_key(gates):
@@ -152,7 +142,7 @@ def _reference_search_ops(matrix, *, budget=50_000, witness=None,
                           zero_columns=()):
     target = gf2.as_bits(matrix)
     _require_square_invertible(target)
-    n = target.shape[0]
+    n = len(target)
     if budget < 0:
         raise ValueError(f"search budget must be non-negative, got {budget}")
     mask = (1 << n) - 1
@@ -161,7 +151,7 @@ def _reference_search_ops(matrix, *, budget=50_000, witness=None,
             raise ValueError(f"zero_columns entry {w} outside 1..{n}")
         mask &= ~(1 << (n - w))
 
-    goal = _pack_rows(target)
+    goal = target
 
     def matches(state):
         return all((a ^ b) & mask == 0 for a, b in zip(state, goal))
@@ -169,12 +159,12 @@ def _reference_search_ops(matrix, *, budget=50_000, witness=None,
     fallback = gaussian_ops(target)
     if witness is not None:
         w = tuple(witness)
-        if not matches(_pack_rows(block_to_matrix(w, n))):
+        if not matches(block_to_matrix(w, n)):
             raise ValueError("witness does not realize the target matrix")
         if (len(w), _gate_key(w)) < (len(fallback), _gate_key(fallback)):
             fallback = w
 
-    start = _pack_rows(gf2.identity(n))
+    start = tuple(1 << (n - 1 - i) for i in range(n))
     if matches(start):
         return ()
 

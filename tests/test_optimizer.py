@@ -18,14 +18,12 @@ from stabsynth.optimizer import (
 from stabsynth.simulator import circuits_equivalent
 
 EIGHT_RULES_FIRED = {
-    "cz_control_target_swap": 12,
     "cz_from_cx_conjugation": 12,
     "gate_commutation_move": 15,
     "port_minimization": 4,
     "triangle_contraction": 2,
 }
 THIRTEEN_RULES_FIRED = {
-    "cz_control_target_swap": 24,
     "cz_from_cx_conjugation": 24,
     "fanin_fold": 1,
     "gate_commutation_move": 68,
@@ -45,6 +43,19 @@ def test_rules_level_eight_qubit(forms):
     assert dict(report.rules_fired) == EIGHT_RULES_FIRED
     assert report.blocks_resynthesized == []
     assert circuits_equivalent(_composed(optimized, report.frame), encoder)
+
+
+def test_retarget_counts_a_swap_only_for_a_cz_on_its_second_qubit():
+    for gates, swaps in (
+        ([Gate("H", (2,)), Gate("CZ", (1, 2))], 1),
+        ([Gate("H", (1,)), Gate("CZ", (1, 2))], 0),
+    ):
+        fires = optimizer._Fires()
+        out = optimizer._pass_retarget(gates, fires)
+        assert fires.get("cz_control_target_swap", 0) == swaps
+        assert fires["cz_from_cx_conjugation"] == 1
+        leg = gates[0].q[0]
+        assert out == [Gate("CX", (3 - leg, leg)), Gate("H", (leg,))]
 
 
 def test_rules_level_steane(forms):
