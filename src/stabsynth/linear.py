@@ -17,7 +17,7 @@ synthesis routines accept anything ``gf2.as_bits`` accepts.
 from __future__ import annotations
 
 from .circuit import Gate
-from .gf2 import as_bits, rank
+from .gf2 import as_bits, invertible
 
 __all__ = [
     "DEFAULT_SEARCH_BUDGET",
@@ -53,18 +53,28 @@ def block_to_matrix(gates, n):
     return tuple(m)
 
 
-def _require_square_invertible(rows):
+def _square_rows(matrix):
+    """Int rows of ``matrix``, checked to be square and invertible.
+
+    A row given as bits must have one entry per row of the matrix; a row
+    given as an int carries no width, so it must only fit in that many
+    bits.
+    """
+    rows = tuple(matrix)
     n = len(rows)
-    if any(row >> n for row in rows):
-        raise ValueError(
-            f"expected a square matrix, got {n} rows and a row wider "
-            f"than {n} bits"
-        )
-    if rank(rows) < n:
+    for i, row in enumerate(rows):
+        if row >> n if isinstance(row, int) else len(row) != n:
+            raise ValueError(
+                f"expected a square matrix, got {n} rows and row {i} "
+                f"not {n} columns wide"
+            )
+    rows = as_bits(rows)
+    if not invertible(rows):
         raise ValueError(
             "matrix is not invertible over GF(2); "
             "only reversible CNOT blocks can be resynthesized"
         )
+    return rows
 
 
 def gaussian_ops(matrix):
@@ -76,8 +86,7 @@ def gaussian_ops(matrix):
     recorded additions are replayed in reverse as CX gates.  The result is
     deterministic and lands on the identity matrix as an empty sequence.
     """
-    m = list(as_bits(matrix))
-    _require_square_invertible(m)
+    m = list(_square_rows(matrix))
     n = len(m)
     ops: list[tuple[int, int]] = []
 
@@ -167,8 +176,7 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     needs no special case: its child is the parent, which the table
     already holds at a smaller depth.
     """
-    goal_rows = as_bits(matrix)
-    _require_square_invertible(goal_rows)
+    goal_rows = _square_rows(matrix)
     n = len(goal_rows)
     if budget < 0:
         raise ValueError(f"search budget must be non-negative, got {budget}")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stabsynth import gf2
 from stabsynth.circuit import Gate
 from stabsynth.linear import (
-    _require_square_invertible,
+    _square_rows,
     block_to_matrix,
     gaussian_ops,
     search_ops,
@@ -50,7 +50,21 @@ def test_rejects_singular_and_non_square():
     with pytest.raises(ValueError, match="not invertible"):
         gaussian_ops(gf2.as_bits(["11", "11"]))
     with pytest.raises(ValueError, match="square"):
-        gaussian_ops(gf2.as_bits(["110", "011"]))
+        gaussian_ops(np.zeros((2, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.zeros((2, 3), dtype=np.uint8),
+    np.array([[0, 1, 0], [0, 0, 1]]),  # wide, leading column zero
+    np.array([[1, 0], [0, 1], [0, 0]]),  # tall
+    ["010", "001"],
+    [[1, 0], [0, 1, 0]],
+    gf2.as_bits(["110", "011"]),  # int rows wider than the row count
+])
+@pytest.mark.parametrize("synth", [gaussian_ops, search_ops])
+def test_non_square_inputs_raise_square(synth, matrix):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        synth(matrix)
 
 
 def test_budget_validation():
@@ -140,8 +154,7 @@ class _Exhausted(Exception):
 
 def _reference_search_ops(matrix, *, budget=50_000, witness=None,
                           zero_columns=()):
-    target = gf2.as_bits(matrix)
-    _require_square_invertible(target)
+    target = _square_rows(matrix)
     n = len(target)
     if budget < 0:
         raise ValueError(f"search budget must be non-negative, got {budget}")
