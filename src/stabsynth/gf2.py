@@ -4,8 +4,8 @@ A matrix is a tuple of Python ints, one per row, with column 0 as the most
 significant bit: the row ``"0110"`` is the int ``0b0110``, and column
 ``j`` of an ``n``-column matrix is bit ``n - 1 - j``.  Addition is XOR, so
 a row operation is one int XOR.  ``as_bits`` is the one conversion into
-this layout.  One echelon routine keys rows by their leading bit and
-serves ``rank``, ``invertible``, ``solve`` and the span check of
+this layout.  One reduction keys pivot rows by their leading bit and
+serves ``rank``, ``invertible``, ``solve`` and the elimination of
 ``min_weight_solution``, whose columns are int bitmasks in the same way.
 These helpers are deliberately small and allocation-light — the callers
 (standard-form checks, region resynthesis, port solving, the CLI frame
@@ -108,25 +108,58 @@ def min_weight_solution(
 ) -> list[int] | None:
     """Indices of a minimum-size subset of ``columns`` whose XOR is ``target``.
 
-    Columns and target are int bitmasks.  Exhaustive by weight and
-    deterministic: among equal-weight solutions the lexicographically
-    smallest index tuple wins.  Returns ``[]`` for a zero target, and None
-    when no subset of at most ``max_weight`` columns (default: all of them)
-    works.  A target outside the columns' span is rejected by elimination
-    before any subset is enumerated.
+    Columns and target are int bitmasks.  Exact and deterministic: among
+    equal-weight solutions the lexicographically smallest index tuple
+    wins.  Returns ``[]`` for a zero target, and None when no subset of at
+    most ``max_weight`` columns (default: all of them) works.
+
+    Columns are eliminated in index order, each carrying the set of
+    columns it is the XOR of.  A target outside their span is rejected
+    there, before any subset is tried.  Otherwise every solution is the
+    pivot columns' solution XOR some set of kernel vectors, one per
+    dependent column, each holding that column and pivots only, so a set
+    of k of them yields a solution of weight at least k.  Sets are tried
+    by size up to the best weight so far: the cost grows with the number
+    of dependent columns, not with all of them, though it stays
+    exponential in the worst case.  A zero or repeated column
+    takes no part: a minimum-weight solution holds no zero column and
+    never two equal ones, and swapping in the first copy of a column makes
+    it lexicographically smaller.
     """
     if not target:
         return []
-    if _reduce(target, _echelon(columns)):
-        return None
     ncols = len(columns)
-    if max_weight is None or max_weight > ncols:
-        max_weight = ncols
-    for w in range(1, max_weight + 1):
-        for combo in combinations(range(ncols), w):
-            acc = 0
-            for i in combo:
-                acc ^= columns[i]
-            if acc == target:
-                return list(combo)
-    return None
+    bound = ncols if max_weight is None else min(max_weight, ncols)
+    # Row i is column i over the bit of index i: elimination XORs the
+    # index bits along, and pivots key only the column part.
+    pivots: dict[int, int] = {}
+    kernel = []
+    seen = set()
+    for i, col in enumerate(columns):
+        if col and col not in seen:
+            seen.add(col)
+            row = _reduce(col << ncols | 1 << i, pivots)
+            if row >> ncols:
+                pivots[row.bit_length() - 1] = row
+            else:
+                kernel.append(row)
+    base = _reduce(target << ncols, pivots)
+    if base >> ncols:
+        return None
+    best = None
+    for k in range(len(kernel) + 1):
+        if k > bound:
+            break
+        for combo in combinations(kernel, k):
+            x = base
+            for v in combo:
+                x ^= v
+            w = x.bit_count()
+            if w > bound:
+                continue
+            # Equal sizes: the set holding the least index not in both wins.
+            if best is None or w < bound or (x ^ best) & -(x ^ best) & x:
+                best, bound = x, w
+    if best is None:
+        return None
+    return [i for i in range(ncols) if best >> i & 1]

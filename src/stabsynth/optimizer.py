@@ -12,14 +12,14 @@ shrinks its CNOT count in several passes:
                 cancel, and S pairs merge into Z.
 4. frame      — diagonal Pauli gates that commute to the end of the
                 circuit are collected into a trailing "Pauli frame".
-5. ports      — for each Hadamard, the CX gates feeding its wire are
-                re-realised as a minimum-weight combination of the labels
-                currently carried by the other wires.
+5. ports      — for each Hadamard, the CX gates feeding its wire since
+                the wire was last read are re-realised as a minimum-weight
+                combination of the labels carried by the other wires.
 6. triangles  — the CNOT-distribution identity applied in reverse
                 contracts triple patterns to two gates.
-7. fold       — a wire's CX fan-in collapses to two gates bracketing a
-                span when another wire's evolution across that span
-                already carries the same GF(2) difference.
+7. fold       — CX gates feeding a wire between two of its reads
+                collapse to two gates bracketing a span when another
+                wire's change across that span is their GF(2) sum.
 
 ``apply_rules`` runs the passes and returns a self-contained circuit (the
 frame stays in the gate list).  ``optimize`` additionally resynthesizes
@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .circuit import Circuit, Gate, gate_counts
 from .encoder import scan_trivial_gates
@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 LEVELS = ("rules", "full")
-TARGET_GATE_SETS = ("cnot-h",)
 
 _FRAME_NOTE = re.compile(r"^pauli frame: (.+)$")
 
@@ -238,15 +237,19 @@ def _pass_collect_frame(gates, fires):
 
 
 def _dataflow(gates, roles):
-    """Each wire's GF(2) labels, reads and CX adds, in one forward scan.
+    """Each wire's GF(2) labels and read-free runs, in one forward scan.
 
     Wires carry labels over a growing basis: logical inputs contribute one
     column each, every Hadamard output is a fresh column, and a CX XORs
-    its control's label into its target's.  Returns ``(snapshots, reads,
-    adds)``: ``snapshots[i][w]`` is wire ``w``'s label before gate ``i``
-    (one more entry holds the labels after the last gate), ``reads[w]``
-    lists the positions that read ``w`` (H, CX control, S, Z, CZ) and
-    ``adds[w]`` those of the CX gates targeting it.  Returns ``None`` if a
+    its control's label into its target's.  Returns ``(snapshots, runs)``:
+    ``snapshots[i][w]`` is wire ``w``'s label before gate ``i`` (one more
+    entry holds the labels after the last gate).  A read-free run ``(t,
+    a, b, adds)`` lists the CX gates targeting wire ``t`` strictly between
+    consecutive reads of ``t`` (H, CX control, S, Z, CZ) at ``a`` and
+    ``b``, with ``a = -1`` before the first read and ``b = len(gates)``
+    after the last.  Nothing inside a run sees ``t``, so its adds may
+    change anywhere in ``(a, b]``: this is the one window of both dataflow
+    passes.  Runs with adds come in order of ``b``.  Returns ``None`` if a
     gate other than H, CX, S, Z or CZ occurs.
     """
     if any(g.kind not in ("H", "CX", "S", "Z", "CZ") for g in gates):
@@ -259,41 +262,44 @@ def _dataflow(gates, roles):
             labels[q] = 1 << n_cols
             n_cols += 1
     snapshots = [labels[:]]
-    reads: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
-    adds: dict[int, list[int]] = {q: [] for q in range(1, n + 1)}
+    last_read = [-1] * (n + 1)
+    pending: list[list[int]] = [[] for _ in range(n + 1)]
+    runs = []
     for i, g in enumerate(gates):
+        # A CX reads its control; H reads its wire, and S, Z and CZ read
+        # their wires' values through phases.
+        for q in g.q[:1] if g.kind == "CX" else g.q:
+            if pending[q]:
+                runs.append((q, last_read[q], i, pending[q]))
+                pending[q] = []
+            last_read[q] = i
         if g.kind == "H":
-            q = g.q[0]
-            reads[q].append(i)
-            labels[q] = 1 << n_cols
+            labels[g.q[0]] = 1 << n_cols
             n_cols += 1
         elif g.kind == "CX":
             c, t = g.q
-            reads[c].append(i)
-            adds[t].append(i)
+            pending[t].append(i)
             labels[t] ^= labels[c]
-        else:
-            # S, Z and CZ read their wires' values through phases.
-            for q in g.q:
-                reads[q].append(i)
         snapshots.append(labels[:])
-    return snapshots, reads, adds
+    runs += [(q, last_read[q], len(gates), pending[q])
+             for q in range(1, n + 1) if pending[q]]
+    return snapshots, runs
 
 
 def _pass_ports(gates, circuit, fires):
     """Re-realise each Hadamard's feeding CX gates at minimum weight.
 
-    Wires carry the GF(2) labels of :func:`_dataflow`.  The CX gates
-    targeting a wire between its last reset and its Hadamard build that
-    wire's label; this pass replaces them — when
-    strictly fewer gates suffice — with CX gates from other wires whose
-    labels sum to the same value.  Every insertion point in the window is
-    considered, because other wires' labels evolve and the cheapest
-    realisation may only exist at particular points; among equally cheap
-    realisations the earliest insertion point wins, which packs ports
-    toward the front and leaves the remaining CX gates contiguous.  Sound
-    only where the rewritten wire is not read inside the window, which
-    the pass checks explicitly.
+    The read-free run of :func:`_dataflow` that ends at a Hadamard on wire
+    ``q`` builds the label the Hadamard reads.  When strictly fewer gates
+    suffice, this pass replaces the run's CX gates with CX gates from
+    other wires whose labels sum to the same value, inserted at one
+    position in ``(a, b]``.  Every such position is considered, because
+    other wires' labels evolve and the cheapest realisation may only exist
+    at particular points; among equally cheap realisations the earliest
+    insertion point wins, which packs ports toward the front and leaves
+    the remaining CX gates contiguous.  Adds to ``q`` before an earlier
+    read of ``q`` belong to an earlier run and stay: moving them past that
+    read would change what it sees.
 
     The winner is the least key (weight, position, wires), and two prunes
     leave it unchanged.  The solver's weight cap starts one below the
@@ -309,23 +315,16 @@ def _pass_ports(gates, circuit, fires):
         flow = _dataflow(out, circuit.roles)
         if flow is None:
             return out
-        snapshots, reads, adds = flow
-        start = dict.fromkeys(range(1, n + 1), 0)
-        for i, g in enumerate(out):
-            if g.kind != "H":
+        snapshots, runs = flow
+        for q, a, b, old in runs:
+            if b == len(out) or out[b].kind != "H":
                 continue
-            q = g.q[0]
-            # The window runs from just after the wire's previous Hadamard.
-            lo, start[q] = start[q], i + 1
-            old = [a for a in adds[q] if lo <= a < i]
-            if not old or any(old[0] < r < i for r in reads[q]):
-                continue
-            delta = snapshots[i][q] ^ snapshots[lo][q]
+            delta = snapshots[b][q] ^ snapshots[a + 1][q]
             wires = [w for w in range(1, n + 1) if w != q]
             best = None
             cap = len(old) - 1
             prev_rows = None
-            for pos in range(lo, i + 1):
+            for pos in range(a + 1, b + 1):
                 snap = snapshots[pos]
                 rows = [snap[w] for w in wires]
                 if rows == prev_rows:
@@ -340,11 +339,9 @@ def _pass_ports(gates, circuit, fires):
                 cap = best[0] - 1
             if best is not None and best[0] < len(old):
                 _weight, pos, sol = best
-                new = [Gate("CX", (wires[s], q)) for s in sol]
-                for idx in reversed(old):
-                    del out[idx]
-                pos -= sum(1 for idx in old if idx < pos)
-                out[pos:pos] = new
+                out = [None if k in old else g for k, g in enumerate(out)]
+                out[pos:pos] = [Gate("CX", (wires[s], q)) for s in sol]
+                out = [g for g in out if g is not None]
                 fires.hit("port_minimization")
                 break
         else:
@@ -354,13 +351,23 @@ def _pass_ports(gates, circuit, fires):
 def _pass_fold(gates, circuit, fires):
     """Fold a wire's CX fan-in through another wire's evolution.
 
-    When three or more CX gates feed wire ``t`` and the XOR of the values
-    they deliver equals how some other wire ``s`` changes between the
-    first and last of them, the whole group collapses to two copies of
-    CX(s, t) — one at each end of the span, letting ``s`` carry the
-    difference.  The replacement is exact provided nothing reads ``t``
-    strictly inside the span, which the pass checks.  Wires are labelled
-    by :func:`_dataflow`.
+    In a read-free run of wire ``t`` (see :func:`_dataflow`), three or
+    more CX adds whose delivered values XOR to how another wire ``s``
+    changes across a span ``[i, j)`` collapse to CX(s, t) before gate
+    ``i`` and before gate ``j``; adds whose values XOR to zero are
+    deleted.  Folding the most adds of ``U``, the run's adds in ``[i,
+    j)``, is dropping the fewest: one ``min_weight_solution`` call over
+    ``U``'s values with target ``xor(U) ^ change(s)``, or, for the zero
+    case, over the whole run with target ``xor(run)``.
+
+    The firing is the least key ``(-gain, t, folded, lo - i, j - hi - 1,
+    s)``, with ``lo`` and ``hi`` the first and last folded positions.  Per
+    span and wire only the complement of the solver's lexicographically
+    least drop set is tried, so when drop sets tie in size (two adds that
+    deliver equal values, say) the folded set can differ from the least
+    one that trying every subset would pick; the gain cannot.  The cap is
+    only a prune: it asks for three folded adds and, once a fold is found,
+    at least its gain.
     """
     n = circuit.n
     out = list(gates)
@@ -368,64 +375,58 @@ def _pass_fold(gates, circuit, fires):
         flow = _dataflow(out, circuit.roles)
         if flow is None:
             return out
-        snapshots, reads, adds = flow
-
+        snapshots, runs = flow
         best = None
-        for t in range(1, n + 1):
-            pos = adds[t]
-            if len(pos) < 3:
+        for t, a, b, run in runs:
+            if len(run) < 3:
                 continue
-            for size in range(len(pos), 2, -1):
-                for subset in combinations(pos, size):
-                    lo, hi = subset[0], subset[-1]
-                    if any(lo < r < hi for r in reads[t]):
+            gives = [snapshots[p][out[p].q[0]] for p in run]
+            xor = [0]
+            for v in gives:
+                xor.append(xor[-1] ^ v)
+            # One solve per (adds run[lo:hi], target); of the spans [i, j)
+            # and wires s sharing it, the key prefers the latest i, then
+            # the earliest j and the least s.  s = 0 is the zero case.
+            spans = {(0, len(run), xor[-1]): (run[0], run[-1] + 1, 0)}
+            for i in range(a + 1, b):
+                lo = bisect_left(run, i)
+                for j in range(i + 1, b + 1):
+                    hi = bisect_left(run, j)
+                    if hi - lo < 3:
                         continue
-                    delta = 0
-                    for p in subset:
-                        delta ^= snapshots[p][out[p].q[0]]
-                    i_min = max(
-                        (r for r in reads[t] if r < lo), default=-1
-                    ) + 1
-                    j_max = min(
-                        (r for r in reads[t] if r > hi), default=len(out)
-                    )
-                    for i in range(lo, i_min - 1, -1):
-                        for j in range(hi + 1, j_max + 1):
-                            if delta == 0:
-                                key = (-size, t, subset, 0, 0, 0)
-                                if best is None or key < best:
-                                    best = key
-                                break
-                            for s in range(1, n + 1):
-                                if s == t:
-                                    continue
-                                if snapshots[i][s] ^ snapshots[j][s] != delta:
-                                    continue
-                                key = (
-                                    -(size - 2), t, subset,
-                                    lo - i, j - hi - 1, s,
-                                )
-                                if best is None or key < best:
-                                    best = key
-                        if delta == 0:
-                            break
+                    for s in range(1, n + 1):
+                        change = snapshots[i][s] ^ snapshots[j][s]
+                        at = (lo, hi, xor[hi] ^ xor[lo] ^ change)
+                        if s != t and change and spans.get(at, (-1,))[0] < i:
+                            spans[at] = (i, j, s)
+            for (lo, hi, target), (i, j, s) in spans.items():
+                bracket = 2 if s else 0
+                cap = hi - lo - 3
+                if best is not None:
+                    cap = min(cap, hi - lo - bracket + best[0])
+                if cap < 0:
+                    continue
+                drop = min_weight_solution(gives[lo:hi], target, cap)
+                if drop is None:
+                    continue
+                folded = tuple(
+                    run[lo + k] for k in range(hi - lo) if k not in drop
+                )
+                if len(folded) < 3:
+                    continue
+                key = (bracket - len(folded), t, folded,
+                       folded[0] - i, j - folded[-1] - 1, s)
+                if best is None or key < best:
+                    best = key
         if best is None:
             return out
-        neg_gain, t, subset, di, dj, s = best
-        members = set(subset)
-        i = subset[0] - di
-        j = subset[-1] + 1 + dj
-        rebuilt = []
-        for k, g in enumerate(out):
-            if k == i and neg_gain != -len(subset):
-                rebuilt.append(Gate("CX", (s, t)))
-            if k == j and neg_gain != -len(subset):
-                rebuilt.append(Gate("CX", (s, t)))
-            if k not in members:
-                rebuilt.append(g)
-        if j == len(out) and neg_gain != -len(subset):
-            rebuilt.append(Gate("CX", (s, t)))
-        out = rebuilt
+        _gain, t, folded, di, dj, s = best
+        i, j = folded[0] - di, folded[-1] + 1 + dj
+        bracket = [Gate("CX", (s, t))] if s else []
+        out = [None if k in folded else g for k, g in enumerate(out)]
+        out[j:j] = bracket
+        out[i:i] = bracket
+        out = [g for g in out if g is not None]
         fires.hit("fanin_fold")
 
 
@@ -650,13 +651,6 @@ def _staged_resynthesis(gates, circuit, budget, witnesses, report):
 # entry points
 
 
-def _check_choice(value: str, choices: tuple[str, ...], what: str) -> None:
-    if value not in choices:
-        raise ValueError(
-            f"unknown {what} {value!r}; choose from {', '.join(choices)}"
-        )
-
-
 def _pipeline(circuit: Circuit, fires: _Fires):
     gates = _pass_strip(circuit.gates, circuit, fires)
     gates = _pass_retarget(gates, fires)
@@ -673,13 +667,12 @@ def _pipeline(circuit: Circuit, fires: _Fires):
     return gates, frame, baseline
 
 
-def apply_rules(circuit: Circuit, *, target_gates: str = "cnot-h") -> Circuit:
-    """Rewrite ``circuit`` toward ``target_gates`` using registered rules.
+def apply_rules(circuit: Circuit) -> Circuit:
+    """Rewrite ``circuit`` toward the {H, CX} gate set using registered rules.
 
     The result is a self-contained exact equivalent of the input: any
     residual diagonal Pauli frame stays in the gate list, at the end.
     """
-    _check_choice(target_gates, TARGET_GATE_SETS, "target gate set")
     fires = _Fires()
     gates, frame, _ = _pipeline(circuit, fires)
     return circuit.replace_gates(
@@ -705,7 +698,6 @@ def optimize(
     *,
     level: str = "rules",
     search_budget: int = DEFAULT_SEARCH_BUDGET,
-    target_gates: str = "cnot-h",
     block_witnesses=None,
 ) -> tuple[Circuit, OptimizationReport]:
     """Optimize ``circuit`` and prove the result equivalent to the input.
@@ -716,18 +708,21 @@ def optimize(
     shape, falling back to per-block resynthesis otherwise.  Known short
     realisations can be supplied as ``block_witnesses`` (sequences of CX
     gates); a witness is used whenever its matrix matches a region's on
-    the columns that matter.  The returned circuit is expressed over the
-    target gate set; any residual diagonal Pauli frame is split into the
+    the columns that matter.  The returned circuit is expressed over
+    {H, CX}; any residual diagonal Pauli frame is split into the
     report (and recorded in the circuit notes), and the circuit composed
     with its frame is re-simulated against the input on every ancilla-
     restricted basis state.  A mismatch raises ``OptimizationError``.
-    An unknown level or gate set, or a negative ``search_budget``, raises
+    An unknown level, or a negative ``search_budget``, raises
     ``ValueError`` at every level, before any pass runs.  Each entry of
     ``report.blocks_resynthesized`` names the ``method`` whose gates
     replaced the region: ``"search"``, ``"witness"`` or ``"gaussian"``.
     """
-    _check_choice(level, LEVELS, "optimization level")
-    _check_choice(target_gates, TARGET_GATE_SETS, "target gate set")
+    if level not in LEVELS:
+        raise ValueError(
+            f"unknown optimization level {level!r}; "
+            f"choose from {', '.join(LEVELS)}"
+        )
     if search_budget < 0:
         raise ValueError(
             f"search budget must be non-negative, got {search_budget}"
