@@ -127,9 +127,11 @@ class Circuit:
                     raise ValueError(
                         f"gate {g} qubit index {i} out of range for n={self.n}"
                     )
-        for qubit, _bit in self.measurements:
+        for qubit, bit in self.measurements:
             if not 1 <= qubit <= self.n:
                 raise ValueError(f"measurement qubit {qubit} out of range")
+            if bit < 0:
+                raise ValueError(f"measurement bit {bit} is negative")
 
     def ancilla_qubits(self) -> list[int]:
         """1-based indices of the qubits promised to start in |0>."""

@@ -42,7 +42,7 @@ from .simulator import (
     run,
     states_close,
 )
-from .syndrome import build_syndrome_table, format_table, syndrome_decimal, syndrome_of
+from .syndrome import build_syndrome_table, format_table, syndrome_of
 
 __all__ = ["main"]
 
@@ -123,23 +123,12 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_syndromes(args) -> int:
     code = _load_code(args.code)
-    table = build_syndrome_table(code.standard_form())
+    try:
+        table = build_syndrome_table(code.standard_form())
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     sys.stdout.write(format_table(table, args.format))
     return 0
-
-
-def _solve_frame(indices, signs, n: int) -> list[int] | None:
-    """Wires of a terminal Z frame explaining per-amplitude sign flips.
-
-    ``indices`` are basis indices, which are the label bits as a ``gf2``
-    row (qubit 1 the most significant bit), and ``signs`` their sign bits;
-    a frame on wire set F predicts sign = XOR of the label bits on F.
-    Returns a sorted wire list, or None when no frame is consistent.
-    """
-    f = gf2_solve(indices, signs)
-    if f is None:
-        return None
-    return [q for q in range(1, n + 1) if f >> (n - q) & 1]
 
 
 def _cmd_verify(args) -> int:
@@ -175,26 +164,22 @@ def _cmd_verify(args) -> int:
         indices += np.flatnonzero(signed).tolist()
         signs += flip[signed].tolist()
 
-    frame_wires: list[int] = []
+    # A terminal Z frame on wire set F flips the sign of each amplitude by
+    # the XOR of its label bits on F.  Basis indices are the label bits as
+    # a ``gf2`` row (qubit 1 the most significant bit), so F as an int row
+    # is a solution of the per-amplitude sign equations.
+    frame = 0
     if args.allow_frame and consistent:
-        solved = _solve_frame(indices, signs, sf.n)
-        if solved is None:
-            consistent = False
-        else:
-            frame_wires = solved
+        solved = gf2_solve(indices, signs)
+        consistent = solved is not None
+        frame = solved or 0
+    frame_wires = [q for q in range(1, sf.n + 1) if frame >> (sf.n - q) & 1]
 
     stabilized = 0
     matched = 0
     total = 2**sf.k
     for bits, out, oracle in outputs:
-        checked = out
-        if frame_wires:
-            for q in frame_wires:
-                checked = apply_pauli(
-                    checked, PauliString.parse(
-                        "".join("Z" if x == q else "I" for x in range(1, sf.n + 1))
-                    )
-                )
+        checked = apply_pauli(out, PauliString(0, frame, n=sf.n)) if frame else out
         if all(check_stabilized(checked, g) for g in sf.generators):
             stabilized += 1
         # Strict: ``consistent`` already holds every amplitude to +/- the
@@ -223,7 +208,12 @@ def _cmd_simulate(args) -> int:
         raise _InputError(
             f"--logical wants {sf.k} bits of 0/1, got {args.logical!r}"
         )
-    encoder = synthesize_encoder(sf, gate_set="mixed", name=f"{code.name}_encoder")
+    try:
+        encoder = synthesize_encoder(
+            sf, gate_set="mixed", name=f"{code.name}_encoder"
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     state = run(encoder, logical_label(encoder, bits))
     error = None
     if args.error:
@@ -246,9 +236,8 @@ def _cmd_simulate(args) -> int:
     for label, amp in state.nonzero_labels():
         print(f"  {amp.real:+.4f}{amp.imag:+.4f}i |{label}>")
     if error is not None:
-        bits_vec = syndrome_of(error, sf)
-        syndrome = "".join(str(int(b)) for b in bits_vec)
-        print(f"syndrome: {syndrome} (decimal {syndrome_decimal(bits_vec)})")
+        syndrome = syndrome_of(error, sf)
+        print(f"syndrome: {syndrome:0{sf.m}b} (decimal {syndrome})")
     return 0
 
 

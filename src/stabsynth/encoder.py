@@ -42,12 +42,6 @@ __all__ = [
 GATE_SETS = ("mixed", "cnot_cz")
 
 
-def _letter(sf: StandardForm, row: int, col: int) -> str:
-    x = int(sf.x[row, col])
-    z = int(sf.z[row, col])
-    return {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(x, z)]
-
-
 def _perm_note(sf: StandardForm) -> str:
     order = ", ".join(str(q + 1) for q in sf.qubit_perm)
     return f"qubit positions carry original qubits [{order}]"
@@ -84,18 +78,19 @@ def synthesize_encoder(
     for i in range(k):
         control = n - k + i + 1
         for j in range(1, n + 1):
-            if j != control and sf.logical_x[i].x[j - 1]:
+            if j != control and sf.logical_x[i].x >> (n - j) & 1:
                 gates.append(Gate("CX", (control, j)))
 
     # stage 2: one standard-form row per X pivot
     for i in range(1, r + 1):
+        row = sf.generators[i - 1]
         gates.append(Gate("H", (i,)))
-        if sf.z[i - 1, i - 1]:
+        if row.letter(i - 1) == "Y":
             gates.append(Gate("S" if gate_set == "mixed" else "Z", (i,)))
         for j in range(1, n + 1):
             if j == i:
                 continue
-            letter = _letter(sf, i - 1, j - 1)
+            letter = row.letter(j - 1)
             if letter == "X":
                 gates.append(Gate("CX", (i, j)))
             elif letter == "Z":
@@ -176,7 +171,7 @@ def synthesize_syndrome_circuit(sf: StandardForm, *, name: str = "syndrome") -> 
         ancilla = n + i
         gates.append(Gate("H", (ancilla,)))
         for j in range(1, n + 1):
-            letter = _letter(sf, i - 1, j - 1)
+            letter = sf.generators[i - 1].letter(j - 1)
             if letter == "I":
                 continue
             kind = {"X": "CX", "Z": "CZ", "Y": "CY"}[letter]

@@ -240,19 +240,21 @@ def _dataflow(gates, roles):
     """Each wire's GF(2) labels and read-free runs, in one forward scan.
 
     Wires carry labels over a growing basis: logical inputs contribute one
-    column each, every Hadamard output is a fresh column, and a CX XORs
+    column each, every H, X or Y output is a fresh column, and a CX XORs
     its control's label into its target's.  Returns ``(snapshots, runs)``:
     ``snapshots[i][w]`` is wire ``w``'s label before gate ``i`` (one more
     entry holds the labels after the last gate).  A read-free run ``(t,
     a, b, adds)`` lists the CX gates targeting wire ``t`` strictly between
-    consecutive reads of ``t`` (H, CX control, S, Z, CZ) at ``a`` and
+    consecutive reads of ``t`` (H, X, Y, CX control, S, Z, CZ) at ``a`` and
     ``b``, with ``a = -1`` before the first read and ``b = len(gates)``
     after the last.  Nothing inside a run sees ``t``, so its adds may
     change anywhere in ``(a, b]``: this is the one window of both dataflow
     passes.  Runs with adds come in order of ``b``.  Returns ``None`` if a
-    gate other than H, CX, S, Z or CZ occurs.
+    CY occurs.  A fresh column after X or Y stands for any value of the
+    wire, so every label identity the passes use holds for the flipped
+    value too.
     """
-    if any(g.kind not in ("H", "CX", "S", "Z", "CZ") for g in gates):
+    if any(g.kind == "CY" for g in gates):
         return None
     n = len(roles)
     labels = [0] * (n + 1)
@@ -266,14 +268,14 @@ def _dataflow(gates, roles):
     pending: list[list[int]] = [[] for _ in range(n + 1)]
     runs = []
     for i, g in enumerate(gates):
-        # A CX reads its control; H reads its wire, and S, Z and CZ read
-        # their wires' values through phases.
+        # A CX reads its control; H, X and Y read their wire, and S, Z
+        # and CZ read their wires' values through phases.
         for q in g.q[:1] if g.kind == "CX" else g.q:
             if pending[q]:
                 runs.append((q, last_read[q], i, pending[q]))
                 pending[q] = []
             last_read[q] = i
-        if g.kind == "H":
+        if g.kind in ("H", "X", "Y"):
             labels[g.q[0]] = 1 << n_cols
             n_cols += 1
         elif g.kind == "CX":

@@ -1,75 +1,62 @@
-"""Phase-tracked n-qubit Pauli strings over the symplectic representation.
+"""Phase-tracked n-qubit Pauli strings as int bit-rows.
 
-A Pauli operator is stored as two length-n uint8 bit vectors ``x`` and ``z``
-plus an integer ``phase_exp`` (mod 4).  Qubit j carries the letter
+A Pauli operator on ``n`` qubits is stored as two ints ``x`` and ``z``
+plus an integer ``phase_exp`` (mod 4).  Both ints use the ``gf2`` row
+layout: qubit 1 is the most significant bit, so qubit ``q`` (0-based
+position ``q - 1``) is bit ``n - q``.  A qubit carries the letter
 
-    ==== ==== ========
-    x[j] z[j] letter
-    ==== ==== ========
-    0    0    I
-    1    0    X
-    0    1    Z
-    1    1    Y
-    ==== ==== ========
+    ===== ===== ======
+    x bit z bit letter
+    ===== ===== ======
+    0     0     I
+    1     0     X
+    0     1     Z
+    1     1     Y
+    ===== ===== ======
 
 and the full operator is ``i**phase_exp`` times the tensor product of those
 letters, with Y the usual Hermitian Pauli (Y = iXZ).  In other words the
 phase exponent is *relative to the letter string*, so parsing "XZ" or
 "IYXZXZIY" yields phase_exp = 0 and formatting is the exact inverse of
-parsing.  The bit vectors still give the X/Z decomposition of each letter,
-which is what every linear-algebra consumer (check matrices, syndromes,
-standard form) uses.
+parsing.  The bits still give the X/Z decomposition of each letter, which
+is what every linear-algebra consumer (check matrices, syndromes, standard
+form) uses: the check-matrix row of a string is ``x << n | z``.
 
-Multiplication composes letter strings qubit-by-qubit and tracks the phase
-with the standard quadratic function g((x1,z1),(x2,z2)) giving the power of
-i picked up when the product letter is rewritten back into letter form.
+Multiplication XORs the bits and tracks the phase letter by letter: a
+cyclic pair (XY, YZ, ZX) picks up i, an anticyclic pair (YX, ZY, XZ)
+picks up -i, and equal letters or an identity pick up nothing.  Each kind
+of pair is one bit mask, so the phase is a difference of two popcounts.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from .gf2 import as_bits
 
 __all__ = ["PauliString"]
 
-_LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+_LETTERS = "IXZY"  # indexed by x + 2 * z
 _PREFIXES = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
 
 
-def _g(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Power of i from multiplying letter (x1,z1) by letter (x2,z2).
-
-    Defined so that letter1 * letter2 = i**g * letter(x1^x2, z1^z2).
-    """
-    if x1 == 0 and z1 == 0:
-        return 0
-    if x1 == 1 and z1 == 1:
-        return z2 - x2
-    if x1 == 1:  # X
-        return z2 * (2 * x2 - 1)
-    # Z
-    return x2 * (1 - 2 * z2)
-
-
-_G_TABLE = np.zeros((2, 2, 2, 2), dtype=np.int64)
-for _x1 in (0, 1):
-    for _z1 in (0, 1):
-        for _x2 in (0, 1):
-            for _z2 in (0, 1):
-                _G_TABLE[_x1, _z1, _x2, _z2] = _g(_x1, _z1, _x2, _z2)
-
-
 class PauliString:
-    """Immutable-by-convention Pauli operator with tracked phase."""
+    """Immutable-by-convention Pauli operator with tracked phase.
 
-    __slots__ = ("x", "z", "phase_exp")
+    ``x`` and ``z`` are ints or bit sequences (one 0/1 value per qubit);
+    with ints, ``n`` must be given, since leading identities have no bits.
+    """
 
-    def __init__(self, x, z, phase_exp: int = 0):
-        self.x = np.asarray(x, dtype=np.uint8) & 1
-        self.z = np.asarray(z, dtype=np.uint8) & 1
-        if self.x.shape != self.z.shape or self.x.ndim != 1:
-            raise ValueError("x and z must be equal-length 1-D bit vectors")
+    __slots__ = ("n", "x", "z", "phase_exp")
+
+    def __init__(self, x, z, phase_exp: int = 0, n: int | None = None):
+        if n is None:
+            if isinstance(x, int) or isinstance(z, int) or len(x) != len(z):
+                raise ValueError("x and z must be equal-length bit sequences")
+            n = len(x)
+        self.n = n
+        self.x, self.z = as_bits((x, z))
+        if (self.x | self.z) >> n:
+            raise ValueError(f"x and z must fit in {n} bits")
         self.phase_exp = int(phase_exp) % 4
 
     # ------------------------------------------------------------------
@@ -77,7 +64,7 @@ class PauliString:
     # ------------------------------------------------------------------
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+        return cls(0, 0, n=n)
 
     @classmethod
     def parse(cls, text: str) -> "PauliString":
@@ -97,19 +84,24 @@ class PauliString:
             raise ValueError(f"bad phase prefix {prefix!r} in {text!r}")
         if not s:
             raise ValueError(f"no Pauli letters in {text!r}")
-        try:
-            pairs = [_LETTER_TO_BITS[c] for c in s]
-        except KeyError as exc:
-            raise ValueError(f"bad Pauli letter {exc.args[0]!r} in {text!r}") from None
-        x = np.array([p[0] for p in pairs], dtype=np.uint8)
-        z = np.array([p[1] for p in pairs], dtype=np.uint8)
-        return cls(x, z, _PREFIXES[prefix])
+        x = z = 0
+        for c in s:
+            code = _LETTERS.find(c)
+            if code < 0:
+                raise ValueError(f"bad Pauli letter {c!r} in {text!r}")
+            x = x << 1 | code & 1
+            z = z << 1 | code >> 1
+        return cls(x, z, _PREFIXES[prefix], n=len(s))
+
+    def letter(self, q: int) -> str:
+        """The letter at 0-based position ``q``, as in ``str(self)``."""
+        shift = self.n - 1 - q
+        return _LETTERS[(self.x >> shift & 1) | (self.z >> shift & 1) << 1]
 
     def __str__(self) -> str:
-        letters = "".join(
-            _BITS_TO_LETTER[(int(a), int(b))] for a, b in zip(self.x, self.z)
+        return _PHASE_STR[self.phase_exp] + "".join(
+            self.letter(q) for q in range(self.n)
         )
-        return _PHASE_STR[self.phase_exp] + letters
 
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
@@ -117,57 +109,39 @@ class PauliString:
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return int(self.x.shape[0])
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         if not isinstance(other, PauliString):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("length mismatch")
-        g_sum = int(
-            _G_TABLE[
-                self.x.astype(np.intp),
-                self.z.astype(np.intp),
-                other.x.astype(np.intp),
-                other.z.astype(np.intp),
-            ].sum()
-        )
+        x1, z1, x2, z2 = self.x, self.z, other.x, other.z
+        lx1, ly1, lz1 = x1 & ~z1, x1 & z1, z1 & ~x1
+        lx2, ly2, lz2 = x2 & ~z2, x2 & z2, z2 & ~x2
+        cyclic = (lx1 & ly2) | (ly1 & lz2) | (lz1 & lx2)
+        anticyclic = (ly1 & lx2) | (lz1 & ly2) | (lx1 & lz2)
         return PauliString(
-            self.x ^ other.x,
-            self.z ^ other.z,
-            (self.phase_exp + other.phase_exp + g_sum) % 4,
+            x1 ^ x2,
+            z1 ^ z2,
+            self.phase_exp + other.phase_exp
+            + cyclic.bit_count() - anticyclic.bit_count(),
+            n=self.n,
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
             return NotImplemented
-        return (
-            self.phase_exp == other.phase_exp
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
+        return (self.n, self.x, self.z, self.phase_exp) == (
+            other.n, other.x, other.z, other.phase_exp
         )
 
     def __hash__(self) -> int:
-        return hash((self.x.tobytes(), self.z.tobytes(), self.phase_exp))
+        return hash((self.n, self.x, self.z, self.phase_exp))
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two operators commute (symplectic product = 0)."""
-        sym = int((self.x & other.z).sum() + (self.z & other.x).sum())
-        return sym % 2 == 0
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     @property
     def weight(self) -> int:
         """Number of non-identity letters."""
-        return int((self.x | self.z).sum())
-
-    def symplectic_row(self) -> np.ndarray:
-        """The (x|z) row vector of length 2n."""
-        return np.concatenate([self.x, self.z])
-
-    @classmethod
-    def from_symplectic_row(cls, row: np.ndarray, phase_exp: int = 0) -> "PauliString":
-        row = np.asarray(row, dtype=np.uint8)
-        n = row.shape[0] // 2
-        return cls(row[:n], row[n:], phase_exp)
+        return (self.x | self.z).bit_count()

@@ -157,19 +157,22 @@ def logical_label(c: Circuit, bits: str) -> str:
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    """Return p applied to the state (not in place)."""
+    """Return p applied to the state (not in place).
+
+    ``p.x`` and ``p.z`` share the basis index's layout (qubit 1 the most
+    significant bit), so ``p.x`` flips an index by one XOR.
+    """
     if p.n != state.n:
         raise ValueError(f"operator has {p.n} qubits, state has {state.n}")
     n = state.n
-    x_int = int("".join(str(int(b)) for b in p.x), 2) if n else 0
     indices = np.arange(2**n, dtype=np.int64)
     parity = np.zeros(2**n, dtype=np.int64)
-    for j in range(n):
-        if p.z[j]:
-            parity ^= (indices >> (n - 1 - j)) & 1
-    phase = (1j) ** (p.phase_exp + int(np.count_nonzero(p.x & p.z)))
+    for shift in range(n):
+        if p.z >> shift & 1:
+            parity ^= (indices >> shift) & 1
+    phase = (1j) ** (p.phase_exp + (p.x & p.z).bit_count())
     out = np.empty_like(state.amps)
-    out[indices ^ x_int] = state.amps * phase * np.where(parity, -1.0, 1.0)
+    out[indices ^ p.x] = state.amps * phase * np.where(parity, -1.0, 1.0)
     return StateVector(n, out)
 
 
@@ -195,9 +198,7 @@ def projector_encode(sf: StandardForm, bits: str) -> StateVector:
         else:
             prod = PauliString.identity(n)
         # P|0...0> puts amplitude i^(phase + #Y) on the label given by P's x bits
-        label = int("".join(str(int(b)) for b in prod.x), 2)
-        phase = (1j) ** (prod.phase_exp + int(np.count_nonzero(prod.x & prod.z)))
-        amps[label] += phase
+        amps[prod.x] += (1j) ** (prod.phase_exp + (prod.x & prod.z).bit_count())
     state = StateVector(n, amps)
     nrm = state.norm()
     if nrm < TOL:
@@ -310,12 +311,14 @@ def _read_deterministic_bit(state: StateVector, qubit: int) -> int:
 
 def measure_syndrome(
     encoded: StateVector, error: PauliString, sf: StandardForm
-) -> np.ndarray:
-    """Circuit-level syndrome readout.
+) -> int:
+    """Circuit-level syndrome readout, as an int of width m.
 
     Applies the error to the encoded state, adjoins |0> ancillas, runs the
-    syndrome-measurement circuit, and reads the ancillas.  Outcomes are
-    asserted deterministic — codewords with Pauli errors always are.
+    syndrome-measurement circuit, and reads the ancillas: measurement bit
+    ``b`` holds syndrome bit ``b + 1``, so it lands on bit ``m - 1 - b``.
+    Outcomes are asserted deterministic — codewords with Pauli errors
+    always are.
     """
     if encoded.n != sf.n:
         raise ValueError("state size does not match code")
@@ -326,9 +329,9 @@ def measure_syndrome(
     state = StateVector(circuit.n, extended)
     for gate in circuit.gates:
         apply_gate(state, gate)
-    bits = np.zeros(sf.m, dtype=np.uint8)
+    bits = 0
     for qubit, bit_index in circuit.measurements:
-        bits[bit_index] = _read_deterministic_bit(state, qubit)
+        bits |= _read_deterministic_bit(state, qubit) << (sf.m - 1 - bit_index)
     return bits
 
 

@@ -1,17 +1,16 @@
 """Syndrome computation and single-error decoding.
 
 Syndrome bit i records whether an error anticommutes with standard-form
-generator i (0 = commutes, 1 = anticommutes).  Bit 1 is the most
-significant bit of the decimal rendering.  The production decoder is
-algebraic — pure symplectic products — and the simulator's circuit-level
-measurement is cross-checked against it in the test suite.
+generator i (0 = commutes, 1 = anticommutes).  A syndrome is one int of
+width m with bit 1 as its most significant bit, so the int is also the
+decimal value the tables print.  The production decoder is algebraic —
+pure symplectic products — and the simulator's circuit-level measurement
+is cross-checked against it in the test suite.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
 
 from .pauli import PauliString
 from .symplectic import StandardForm
@@ -19,58 +18,47 @@ from .symplectic import StandardForm
 __all__ = ["syndrome_of", "SyndromeTable", "build_syndrome_table", "format_table"]
 
 
-def syndrome_of(e: PauliString, sf: StandardForm) -> np.ndarray:
+def syndrome_of(e: PauliString, sf: StandardForm) -> int:
     """Anticommutation bits of the error against each standard generator."""
     if e.n != sf.n:
         raise ValueError(f"error acts on {e.n} qubits, code has {sf.n}")
-    x, z = sf.x.astype(np.uint32), sf.z.astype(np.uint32)
-    bits = (x @ e.z.astype(np.uint32) + z @ e.x.astype(np.uint32)) % 2
-    return bits.astype(np.uint8)
-
-
-def syndrome_decimal(bits: np.ndarray) -> int:
-    """Decimal value with syndrome bit 1 as the most significant bit."""
-    return int("".join(str(int(b)) for b in bits), 2) if len(bits) else 0
+    bits = 0
+    for g in sf.generators:
+        bits = bits << 1 | (not g.commutes_with(e))
+    return bits
 
 
 class SyndromeTable:
     """Lookup table over all weight-<=1 Pauli errors of one code."""
 
-    def __init__(self, sf: StandardForm, entries: list[tuple[PauliString, np.ndarray]]):
+    def __init__(self, sf: StandardForm, entries: list[tuple[PauliString, int]]):
         self.sf = sf
         self.entries = entries
-        self._by_syndrome: dict[bytes, PauliString] = {}
+        self._by_syndrome: dict[int, PauliString] = {}
         for error, bits in entries:
-            key = bits.tobytes()
-            if key in self._by_syndrome:
-                other = self._by_syndrome[key]
+            if bits in self._by_syndrome:
+                other = self._by_syndrome[bits]
                 raise ValueError(
                     f"syndrome collision: {other} and {error} both give "
-                    f"{''.join(str(int(b)) for b in bits)} — "
+                    f"{bits:0{sf.m}b} — "
                     "the code does not correct all single-qubit errors"
                 )
-            self._by_syndrome[key] = error
+            self._by_syndrome[bits] = error
 
-    def decode(self, syndrome: np.ndarray) -> PauliString | None:
+    def decode(self, syndrome: int) -> PauliString | None:
         """The unique matching correction, or None when uncorrectable."""
-        syndrome = np.asarray(syndrome, dtype=np.uint8) & 1
-        if syndrome.shape != (self.sf.m,):
+        if not 0 <= syndrome < 1 << self.sf.m:
             raise ValueError(f"syndrome must have {self.sf.m} bits")
-        return self._by_syndrome.get(syndrome.tobytes())
+        return self._by_syndrome.get(syndrome)
 
 
 def _single_qubit_errors(n: int) -> list[PauliString]:
     """All X/Z/Y errors per qubit (in that order), identity last."""
     errors = []
-    zeros = np.zeros(n, dtype=np.uint8)
     for q in range(n):
-        for letter in ("X", "Z", "Y"):
-            x, z = zeros.copy(), zeros.copy()
-            if letter in ("X", "Y"):
-                x[q] = 1
-            if letter in ("Z", "Y"):
-                z[q] = 1
-            errors.append(PauliString(x, z))
+        bit = 1 << (n - 1 - q)
+        for x, z in ((bit, 0), (0, bit), (bit, bit)):
+            errors.append(PauliString(x, z, n=n))
     errors.append(PauliString.identity(n))
     return errors
 
@@ -87,26 +75,20 @@ def format_table(table: SyndromeTable, fmt: str = "table") -> str:
     Text columns: the error's letters (one per qubit), one column per
     syndrome bit, and the decimal value.
     """
+    m = table.sf.m
     if fmt == "json":
         rows = [
-            {
-                "error": str(error),
-                "syndrome": "".join(str(int(b)) for b in bits),
-                "decimal": syndrome_decimal(bits),
-            }
+            {"error": str(error), "syndrome": f"{bits:0{m}b}", "decimal": bits}
             for error, bits in table.entries
         ]
         return json.dumps(rows, indent=2) + "\n"
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}")
-    m = table.sf.m
     header = ["Error"] + [f"bit{i}" for i in range(1, m + 1)] + ["Decimal"]
     rows = [header]
     for error, bits in table.entries:
         rows.append(
-            [" ".join(str(error))]
-            + [str(int(b)) for b in bits]
-            + [str(syndrome_decimal(bits))]
+            [" ".join(str(error))] + list(f"{bits:0{m}b}") + [str(bits)]
         )
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []

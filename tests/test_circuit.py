@@ -84,6 +84,8 @@ def test_circuit_validation():
         Circuit(n=2, gates=(Gate("H", (3,)),), roles=roles)
     with pytest.raises(ValueError, match="measurement qubit"):
         Circuit(n=2, gates=(), roles=roles, measurements=((3, 0),))
+    with pytest.raises(ValueError, match="measurement bit -1 is negative"):
+        Circuit(n=2, gates=(), roles=roles, measurements=((1, -1),))
 
 
 def test_role_queries_and_counts():

@@ -178,6 +178,43 @@ def test_synth_signed_generator_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_simulate_signed_generator_exits_2(capsys, tmp_path):
+    stab = tmp_path / "signed.stab"
+    stab.write_text("name: signed\nn: 3\nk: 1\nZZI\n-IZZ\n")
+    code, out, err = run_cli(capsys, "simulate", str(stab))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: generator 2 carries a -1 sign")
+    assert err.count("\n") == 1
+
+
+def test_syndromes_on_a_code_without_single_error_correction_exits_2(
+    capsys, tmp_path
+):
+    # The [[3,1]] repetition code cannot tell Z errors apart.
+    stab = tmp_path / "rep3.stab"
+    stab.write_text("name: rep3\nn: 3\nk: 1\nZZI\nIZZ\n")
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "syndromes", str(stab), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: syndrome collision: ")
+        assert err.count("\n") == 1
+
+
+def test_export_qasm_negative_measurement_bit_exits_2(capsys, tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({
+        "name": "m", "n": 1, "roles": ["logical_input"], "gates": [],
+        "notes": [], "measurements": [{"q": 1, "bit": -1}],
+    }))
+    code, out, err = run_cli(capsys, "export-qasm", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "measurement bit -1 is negative" in err
+    assert err.count("\n") == 1
+
+
 def test_optimize_failed_proof_exits_2(capsys, tmp_path, monkeypatch):
     # An unsound rewrite pass that drops a gate: the final proof fails.
     monkeypatch.setattr(

@@ -272,6 +272,28 @@ def test_rules_level_proves_random_clifford_circuits():
         optimize(circuit, level="rules")
 
 
+def test_ports_fire_across_an_x_or_y():
+    # X and Y give their wire a fresh label, like H, so one of them no
+    # longer hides the circuit from ports: CX(2,3) after CX(1,2) delivers
+    # the same value as CX(1,3) CX(2,3).
+    for kind in ("X", "Y"):
+        circuit = Circuit(
+            n=3,
+            gates=(
+                Gate(kind, (1,)), Gate("CX", (1, 3)), Gate("CX", (2, 3)),
+                Gate("CX", (1, 2)), Gate("H", (3,)),
+            ),
+            roles=("logical_input", "logical_input", "ancilla_zero"),
+        )
+        optimized, report = optimize(circuit, level="rules")
+        assert dict(report.rules_fired) == {"port_minimization": 1}
+        assert [str(g) for g in optimized.gates] == [
+            f"{kind}(1)", "CX(1,2)", "CX(2,3)", "H(3)",
+        ]
+        assert report.frame == ()
+        assert circuits_equivalent(optimized, circuit, up_to_global_phase=False)
+
+
 def _reference_fold(gates, circuit, fires):
     """The fold that tries every subset of every wire's CX fan-in."""
     n = circuit.n

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from stabsynth.pauli import PauliString
@@ -10,15 +9,15 @@ from stabsynth.syndrome import (
     SyndromeTable,
     build_syndrome_table,
     format_table,
-    syndrome_decimal,
     syndrome_of,
 )
 
 
-def test_syndrome_decimal_is_most_significant_bit_first():
-    assert syndrome_decimal(np.array([1, 0, 0, 0, 0], dtype=np.uint8)) == 16
-    assert syndrome_decimal(np.array([0, 0, 0, 0, 1], dtype=np.uint8)) == 1
-    assert syndrome_decimal(np.array([1, 1, 0, 1, 1], dtype=np.uint8)) == 27
+def test_syndrome_decimal_is_most_significant_bit_first(eight_sf):
+    # Generator 1 is the most significant bit, so the int is the decimal.
+    assert syndrome_of(PauliString.parse("ZIIIIIII"), eight_sf) == 0b10000 == 16
+    assert syndrome_of(PauliString.parse("XIIIIIII"), eight_sf) == 0b00001 == 1
+    assert syndrome_of(PauliString.parse("IIIIIIYI"), eight_sf) == 0b11011 == 27
 
 
 def test_entry_order_and_identity_row(eight_sf):
@@ -28,7 +27,7 @@ def test_entry_order_and_identity_row(eight_sf):
     assert str(table.entries[2][0]) == "YIIIIIII"
     last_error, last_bits = table.entries[-1]
     assert last_error.weight == 0
-    assert syndrome_decimal(last_bits) == 0
+    assert last_bits == 0
 
 
 def test_decode_inverts_syndrome_of(eight_sf):
@@ -42,18 +41,15 @@ def test_decode_inverts_syndrome_of(eight_sf):
 def test_decode_rejects_wrong_width(eight_sf):
     table = build_syndrome_table(eight_sf)
     with pytest.raises(ValueError, match="5 bits"):
-        table.decode(np.zeros(4, dtype=np.uint8))
+        table.decode(1 << 5)
+    with pytest.raises(ValueError, match="5 bits"):
+        table.decode(-1)
 
 
 def test_unknown_syndrome_decodes_to_none(steane_sf):
     table = build_syndrome_table(steane_sf)
-    used = {bits.tobytes() for _, bits in table.entries}
-    missing = next(
-        np.array([(v >> i) & 1 for i in range(5, -1, -1)], dtype=np.uint8)
-        for v in range(64)
-        if np.array([(v >> i) & 1 for i in range(5, -1, -1)], dtype=np.uint8)
-        .tobytes() not in used
-    )
+    used = {bits for _, bits in table.entries}
+    missing = next(v for v in range(64) if v not in used)
     assert table.decode(missing) is None
 
 
@@ -71,7 +67,7 @@ def test_collision_detection():
 def test_steane_table_is_complete_and_collision_free(steane_sf):
     table = build_syndrome_table(steane_sf)
     assert len(table.entries) == 22
-    syndromes = {bits.tobytes() for _, bits in table.entries}
+    syndromes = {bits for _, bits in table.entries}
     assert len(syndromes) == 22
 
 
@@ -100,4 +96,4 @@ def test_syndrome_flags_anticommuting_generators(eight_sf):
     error = PauliString.parse("IIIIXIII")
     bits = syndrome_of(error, eight_sf)
     expected = [0 if error.commutes_with(g) else 1 for g in eight_sf.generators]
-    assert bits.tolist() == expected
+    assert [bits >> (eight_sf.m - 1 - i) & 1 for i in range(eight_sf.m)] == expected
