@@ -30,17 +30,17 @@ from . import library
 from .circuit import Circuit, from_json, to_json, to_qasm
 from .gf2 import solve as gf2_solve
 from .linear import DEFAULT_SEARCH_BUDGET
-from .encoder import synthesize_encoder
+from .encoder import require_unsigned, synthesize_encoder
 from .optimizer import OptimizationError, optimize
 from .pauli import PauliString
 from .simulator import (
+    TOL,
     StateVector,
     apply_pauli,
     check_stabilized,
     logical_label,
     projector_encode,
     run,
-    states_close,
 )
 from .syndrome import build_syndrome_table, format_table, syndrome_of
 
@@ -134,65 +134,115 @@ def _cmd_syndromes(args) -> int:
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
+    try:
+        require_unsigned(sf)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     circuit = _load_circuit(args.circuit)
     if circuit.n != sf.n:
         raise _InputError(
             f"circuit acts on {circuit.n} qubits but {code.name} has {sf.n}"
         )
-    if len(circuit.logical_qubits()) != sf.k:
+    logical = circuit.logical_qubits()
+    if len(logical) != sf.k:
         raise _InputError(
-            f"circuit marks {len(circuit.logical_qubits())} logical inputs "
+            f"circuit marks {len(logical)} logical inputs "
             f"but {code.name} has k={sf.k}"
         )
 
-    indices: list[int] = []
-    signs: list[bool] = []
-    outputs: list[tuple[str, StateVector, StateVector]] = []
-    consistent = True
-    for i in range(2**sf.k):
-        bits = format(i, f"0{sf.k}b") if sf.k else ""
-        out = run(circuit, logical_label(circuit, bits))
-        oracle = projector_encode(sf, bits)
-        outputs.append((bits, out, oracle))
-        a, b = out.amps, oracle.amps
-        live = ~((np.abs(a) < 1e-10) & (np.abs(b) < 1e-10))
-        same = live & (np.abs(a - b) < 1e-10)
-        flip = live & ~same & (np.abs(a + b) < 1e-10)
-        signed = same | flip
-        if (live & ~signed).any():
-            consistent = False
-        indices += np.flatnonzero(signed).tolist()
-        signs += flip[signed].tolist()
+    # Input b is one Pauli away from input 0 on both sides: the circuit
+    # gives C|b> = P_b·psi with P_b the product of the conjugated logical
+    # X's C·X_q·C†, and the oracle gives L_b·phi with L_b the product of
+    # ``sf.logical_x``.  P_b is Hermitian, so comparing P_b·psi with
+    # L_b·phi amplitude by amplitude is comparing psi with the one Pauli
+    # image Q_b·phi, Q_b = P_b·L_b, at index j for label j ^ P_b.x.
+    n, k = sf.n, sf.k
+    base = run(circuit, logical_label(circuit, "0" * k))
+    psi = base.amps
+    phi = projector_encode(sf, "0" * k)
+    conj_x = [
+        PauliString(1 << n - q, 0, n=n).conjugated_by(circuit.gates)
+        for q in logical
+    ]
+    one = PauliString.identity(n)
+    inputs = [(one, one)]  # (P_b, L_b) in label order
+    for b in range(1, 2**k):
+        # b sets one more logical bit than b - low: its lowest set bit
+        low = b & -b
+        p, ell = inputs[b - low]
+        j = k - low.bit_length()
+        inputs.append((p * conj_x[j], ell * sf.logical_x[j]))
 
-    # A terminal Z frame on wire set F flips the sign of each amplitude by
-    # the XOR of its label bits on F.  Basis indices are the label bits as
-    # a ``gf2`` row (qubit 1 the most significant bit), so F as an int row
-    # is a solution of the per-amplitude sign equations.
+    # Sign equations for --allow-frame: a terminal Z frame on wire set F
+    # flips the sign of each amplitude by the XOR of its label bits on F.
+    # Labels are ``gf2`` rows (qubit 1 the most significant bit), so F as
+    # an int row solves ``parity(label & F) == flip`` for every label that
+    # matches up to sign; ``equations[flip, label]`` marks each once.
+    indices = np.arange(2**n)
+    equations = np.zeros((2, 2**n), dtype=bool)
+    psi_small = np.abs(psi) < 1e-10
+    consistent = True
+    matched = 0
+    for p, ell in inputs:
+        moved = apply_pauli(phi, p * ell).amps
+        diff = np.abs(psi - moved)
+        live = ~(psi_small & (np.abs(moved) < 1e-10))
+        same = live & (diff < 1e-10)
+        flip = live & ~same & (np.abs(psi + moved) < 1e-10)
+        if (live & ~(same | flip)).any():
+            consistent = False  # no frame is sought and nothing matches
+            break
+        if args.allow_frame:
+            # label i holds input b's amplitude at psi's index i ^ P_b.x
+            shifted = indices ^ p.x
+            equations[0] |= same[shifted]
+            equations[1] |= flip[shifted]
+        matched += bool(diff.max() <= TOL)
+
     frame = 0
     if args.allow_frame and consistent:
-        solved = gf2_solve(indices, signs)
+        rows = np.flatnonzero(equations[0]).tolist()
+        flipped = np.flatnonzero(equations[1]).tolist()
+        solved = gf2_solve(rows + flipped, [0] * len(rows) + [1] * len(flipped))
         consistent = solved is not None
         frame = solved or 0
-    frame_wires = [q for q in range(1, sf.n + 1) if frame >> (sf.n - q) & 1]
+    frame_wires = [q for q in range(1, n + 1) if frame >> (n - q) & 1]
+    z_frame = PauliString(0, frame, n=n)
 
-    stabilized = 0
-    matched = 0
-    total = 2**sf.k
-    for bits, out, oracle in outputs:
-        checked = apply_pauli(out, PauliString(0, frame, n=sf.n)) if frame else out
-        if all(check_stabilized(checked, g) for g in sf.generators):
-            stabilized += 1
-        # Strict: ``consistent`` already holds every amplitude to +/- the
-        # oracle's, and the solved Z frame flips exactly those signs, so a
-        # phase of its own for each input is never needed.
-        if consistent and states_close(checked, oracle):
-            matched += 1
+    # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with + when g commutes with
+    # Z_F·P_b, so whether g and whether -g fix psi decide every input.
+    fixed = [
+        (
+            check_stabilized(base, g),
+            check_stabilized(base, PauliString(g.x, g.z, g.phase_exp + 2, n=n)),
+        )
+        for g in sf.generators
+    ]
+    stabilized = sum(
+        all(
+            fixed_g[not g.commutes_with(z_frame * p)]
+            for g, fixed_g in zip(sf.generators, fixed)
+        )
+        for p, _ in inputs
+    )
+    # Z_F·P_b·psi - L_b·phi = P_b·(±Z_F·psi - Q_b·phi), with + when Z_F
+    # commutes with P_b.  With no frame the first pass counted this.
+    if not consistent:
+        matched = 0
+    elif frame:
+        framed = apply_pauli(base, z_frame).amps
+        matched = 0
+        for p, ell in inputs:
+            sign = 1 if z_frame.commutes_with(p) else -1
+            moved = apply_pauli(phi, p * ell).amps
+            matched += bool(np.max(np.abs(sign * framed - moved)) <= TOL)
 
     frame_note = (
         " after frame " + " ".join(f"Z({q})" for q in frame_wires)
         if frame_wires
         else ""
     )
+    total = 2**k
     print(f"stabilized basis states: {stabilized}/{total}{frame_note}")
     print(f"projector-oracle matches: {matched}/{total}{frame_note}")
     ok = stabilized == total and matched == total

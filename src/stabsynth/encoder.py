@@ -33,6 +33,7 @@ from .circuit import Circuit, Gate
 from .symplectic import StandardForm
 
 __all__ = [
+    "require_unsigned",
     "synthesize_encoder",
     "scan_trivial_gates",
     "strip_trivial_gates",
@@ -45,6 +46,22 @@ GATE_SETS = ("mixed", "cnot_cz")
 def _perm_note(sf: StandardForm) -> str:
     order = ", ".join(str(q + 1) for q in sf.qubit_perm)
     return f"qubit positions carry original qubits [{order}]"
+
+
+def require_unsigned(sf: StandardForm) -> None:
+    """Raise ValueError when a generator of ``sf`` carries a -1 sign.
+
+    The encoder and the projector oracle both build the +1-signed code
+    (``sf.generators``), so neither describes a signed one.
+    """
+    for i, phase in enumerate(sf.base.phases, start=1):
+        if phase % 4 == 2:
+            raise ValueError(
+                f"generator {i} carries a -1 sign; this synthesis method "
+                "prepares the +1-signed standard-form code only. Flip the "
+                "generator's sign (conjugate by an anticommuting Pauli) and "
+                "re-synthesize, then track the sign as a Pauli frame."
+            )
 
 
 def synthesize_encoder(
@@ -63,14 +80,7 @@ def synthesize_encoder(
     """
     if gate_set not in GATE_SETS:
         raise ValueError(f"unknown gate set {gate_set!r}; choose from {GATE_SETS}")
-    for i, phase in enumerate(sf.base.phases, start=1):
-        if phase % 4 == 2:
-            raise ValueError(
-                f"generator {i} carries a -1 sign; this synthesis method "
-                "prepares the +1-signed standard-form code only. Flip the "
-                "generator's sign (conjugate by an anticommuting Pauli) and "
-                "re-synthesize, then track the sign as a Pauli frame."
-            )
+    require_unsigned(sf)
     n, k, r = sf.n, sf.k, sf.r
     gates: list[Gate] = []
 

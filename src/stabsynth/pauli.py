@@ -137,6 +137,64 @@ class PauliString:
     def __hash__(self) -> int:
         return hash((self.n, self.x, self.z, self.phase_exp))
 
+    def conjugated_by(self, gates) -> "PauliString":
+        """C·P·C† for the circuit C that applies ``gates`` in order.
+
+        Each gate has a ``kind`` and 1-based qubits ``q``, as in
+        ``circuit.Gate``.  The phase is exact: C·P|s> = (C·P·C†)·C|s>
+        amplitude for amplitude, with no global-phase slack.  This is the
+        Heisenberg-picture update of Aaronson and Gottesman's stabilizer
+        simulation.  Gates act on i^c·X^x·Z^z, whose exponent c is
+        ``phase_exp`` plus the number of Ys.  With control bit a and target
+        bit b:
+
+        - H swaps x and z and adds 2 when both are set;
+        - S adds x to c and XORs x into z;
+        - X, Y and Z add 2·z, 2·(x XOR z) and 2·x;
+        - CX XORs x_a into x_b and z_b into z_a;
+        - CZ XORs x_a into z_b and x_b into z_a and adds 2·x_a·x_b;
+        - CY is S† on b, then CX, then S on b.
+        """
+        n, x, z = self.n, self.x, self.z
+        c = self.phase_exp + (x & z).bit_count()
+        for gate in gates:
+            kind, q = gate.kind, gate.q
+            a = 1 << n - q[0]
+            if kind == "H":
+                if x & a and z & a:
+                    c += 2
+                elif x & a or z & a:
+                    x ^= a
+                    z ^= a
+            elif kind == "S":
+                if x & a:
+                    c += 1
+                    z ^= a
+            elif kind == "X":
+                c += 2 * bool(z & a)
+            elif kind == "Y":
+                c += 2 * (bool(x & a) ^ bool(z & a))
+            elif kind == "Z":
+                c += 2 * bool(x & a)
+            else:
+                b = 1 << n - q[1]
+                if kind == "CZ":
+                    if x & a and x & b:
+                        c += 2
+                    z ^= (b if x & a else 0) ^ (a if x & b else 0)
+                    continue
+                if kind == "CY" and x & b:
+                    c -= 1
+                    z ^= b
+                if x & a:
+                    x ^= b
+                if z & b:
+                    z ^= a
+                if kind == "CY" and x & b:
+                    c += 1
+                    z ^= b
+        return PauliString(x, z, c - (x & z).bit_count(), n=n)
+
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two operators commute (symplectic product = 0)."""
         return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1

@@ -188,6 +188,24 @@ def test_simulate_signed_generator_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_verify_signed_code_exits_2(capsys, tmp_path):
+    # An encoder of the unsigned twin prepares the wrong code space, which
+    # the +1-signed oracle cannot see, so verify refuses the signed code.
+    unsigned = tmp_path / "unsigned.stab"
+    unsigned.write_text("name: five\nn: 5\nk: 1\nXZZXI\nIXZZX\nXIXZZ\nZXIXZ\n")
+    signed = tmp_path / "signed.stab"
+    signed.write_text("name: five\nn: 5\nk: 1\nXZZXI\nIXZZX\nXIXZZ\n-ZXIXZ\n")
+    enc = tmp_path / "enc.json"
+    assert run_cli(capsys, "synth", str(unsigned), "-o", str(enc))[0] == 0
+    assert run_cli(capsys, "verify", str(unsigned), str(enc))[0] == 0
+    for flags in ((), ("--allow-frame",)):
+        code, out, err = run_cli(capsys, "verify", str(signed), str(enc), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: generator 4 carries a -1 sign")
+        assert err.count("\n") == 1
+
+
 def test_syndromes_on_a_code_without_single_error_correction_exits_2(
     capsys, tmp_path
 ):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stabsynth.circuit import Circuit, Gate
+from stabsynth.circuit import GATE_KINDS, ONE_QUBIT_KINDS, Circuit, Gate
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.pauli import PauliString
 from stabsynth.simulator import (
@@ -96,6 +97,85 @@ def test_apply_pauli_phases():
     assert np.allclose(moved.amps, expected)
     # applying the same Pauli twice restores the state
     assert np.allclose(apply_pauli(moved, PauliString.parse("XZ")).amps, two.amps)
+
+
+def _reference_apply_pauli(state, p):
+    """The per-call ``apply_pauli``: index and parity arrays built afresh."""
+    n = state.n
+    indices = np.arange(2**n, dtype=np.int64)
+    parity = np.zeros(2**n, dtype=np.int64)
+    for shift in range(n):
+        if p.z >> shift & 1:
+            parity ^= (indices >> shift) & 1
+    phase = (1j) ** (p.phase_exp + (p.x & p.z).bit_count())
+    out = np.empty_like(state.amps)
+    out[indices ^ p.x] = state.amps * phase * np.where(parity, -1.0, 1.0)
+    return out
+
+
+def test_apply_pauli_is_bit_identical_to_the_per_call_tables():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 6):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps[rng.integers(2**n)] = -0.0
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        for _ in range(20):
+            p = PauliString(
+                int(rng.integers(2**n)), int(rng.integers(2**n)),
+                int(rng.integers(4)), n=n,
+            )
+            got = apply_pauli(state, p).amps
+            want = _reference_apply_pauli(state, p)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_known_conjugations():
+    def conj(text, *gates):
+        return str(PauliString.parse(text).conjugated_by(
+            [Gate(kind, q) for kind, *q in gates]
+        ))
+
+    assert [conj(p, ("H", 1)) for p in "XYZ"] == ["Z", "-Y", "X"]
+    assert [conj(p, ("S", 1)) for p in "XYZ"] == ["Y", "-X", "Z"]
+    assert [conj(p, ("Y", 1)) for p in "XYZ"] == ["-X", "Y", "-Z"]
+    assert conj("XI", ("CX", 1, 2)) == "XX"
+    assert conj("IZ", ("CX", 1, 2)) == "ZZ"
+    assert conj("XX", ("CZ", 1, 2)) == "YY"
+    assert conj("XI", ("CY", 1, 2)) == "XY"
+    assert conj("IX", ("CY", 1, 2)) == "ZX"
+    # C·P·C† for C = H then S: S(HXH)S† = SZS† = Z
+    assert conj("-iX", ("H", 1), ("S", 1)) == "-iZ"
+
+
+@st.composite
+def _circuit_and_pauli(draw):
+    """A circuit over all eight gate kinds on 1-5 qubits and a phased Pauli."""
+    n = draw(st.integers(1, 5))
+    kinds = GATE_KINDS if n > 1 else ONE_QUBIT_KINDS
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=16)):
+        if kind in ONE_QUBIT_KINDS:
+            gates.append(Gate(kind, (draw(st.integers(1, n)),)))
+        else:
+            a = draw(st.integers(1, n))
+            b = draw(st.integers(1, n).filter(lambda b: b != a))
+            gates.append(Gate(kind, (a, b)))
+    circuit = Circuit(n=n, gates=gates, roles=("logical_input",) * n)
+    bits = st.integers(0, 2**n - 1)
+    return circuit, PauliString(draw(bits), draw(bits), draw(st.integers(0, 3)), n=n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuit_and_pauli())
+def test_conjugation_moves_a_pauli_through_the_circuit(case):
+    # C·P|s> = (C·P·C†)·C|s> on every basis state, phase included.
+    circuit, p = case
+    q = p.conjugated_by(circuit.gates)
+    for s in range(2**circuit.n):
+        label = format(s, f"0{circuit.n}b")
+        before = run(circuit, apply_pauli(StateVector.from_label(label), p))
+        after = apply_pauli(run(circuit, label), q)
+        assert np.max(np.abs(before.amps - after.amps)) <= 1e-12
 
 
 def test_check_stabilized():
