@@ -35,7 +35,6 @@ from .optimizer import OptimizationError, optimize
 from .pauli import PauliString
 from .simulator import (
     TOL,
-    StateVector,
     apply_pauli,
     check_stabilized,
     logical_label,
@@ -178,17 +177,25 @@ def _cmd_verify(args) -> int:
     # Labels are ``gf2`` rows (qubit 1 the most significant bit), so F as
     # an int row solves ``parity(label & F) == flip`` for every label that
     # matches up to sign; ``equations[flip, label]`` marks each once.
+    #
+    # Under a frame F, input b matches when every index i of psi is within
+    # TOL of the oracle with the sign (-1)^parity((i ^ P_b.x) & F).  A
+    # solved F gives every live index its sign, so only quiet indices (both
+    # amplitudes below 1e-10) can still fail: ``quiet_signs`` keeps, per
+    # input, whether one fits neither sign and the labels that fit one.
     indices = np.arange(2**n)
     equations = np.zeros((2, 2**n), dtype=bool)
     psi_small = np.abs(psi) < 1e-10
     consistent = True
     matched = 0
+    quiet_signs = []
     for p, ell in inputs:
         moved = apply_pauli(phi, p * ell).amps
         diff = np.abs(psi - moved)
+        total = np.abs(psi + moved)
         live = ~(psi_small & (np.abs(moved) < 1e-10))
         same = live & (diff < 1e-10)
-        flip = live & ~same & (np.abs(psi + moved) < 1e-10)
+        flip = live & ~same & (total < 1e-10)
         if (live & ~(same | flip)).any():
             consistent = False  # no frame is sought and nothing matches
             break
@@ -197,6 +204,12 @@ def _cmd_verify(args) -> int:
             shifted = indices ^ p.x
             equations[0] |= same[shifted]
             equations[1] |= flip[shifted]
+            plus, minus = ~live & (diff <= TOL), ~live & (total <= TOL)
+            quiet_signs.append((
+                (~live & ~(plus | minus)).any(),
+                (np.flatnonzero(plus & ~minus) ^ p.x).tolist(),
+                (np.flatnonzero(minus & ~plus) ^ p.x).tolist(),
+            ))
         matched += bool(diff.max() <= TOL)
 
     frame = 0
@@ -225,17 +238,16 @@ def _cmd_verify(args) -> int:
         )
         for p, _ in inputs
     )
-    # Z_F·P_b·psi - L_b·phi = P_b·(±Z_F·psi - Q_b·phi), with + when Z_F
-    # commutes with P_b.  With no frame the first pass counted this.
+    # With no frame the first pass counted the matches.
     if not consistent:
         matched = 0
     elif frame:
-        framed = apply_pauli(base, z_frame).amps
-        matched = 0
-        for p, ell in inputs:
-            sign = 1 if z_frame.commutes_with(p) else -1
-            moved = apply_pauli(phi, p * ell).amps
-            matched += bool(np.max(np.abs(sign * framed - moved)) <= TOL)
+        matched = sum(
+            not neither
+            and not any((label & frame).bit_count() % 2 for label in plus)
+            and all((label & frame).bit_count() % 2 for label in minus)
+            for neither, plus, minus in quiet_signs
+        )
 
     frame_note = (
         " after frame " + " ".join(f"Z({q})" for q in frame_wires)
@@ -284,7 +296,9 @@ def _cmd_simulate(args) -> int:
     print(f"code: {code.name}  logical: |{bits}>", end="")
     print(f"  error: {args.error}" if error is not None else "")
     for label, amp in state.nonzero_labels():
-        print(f"  {amp.real:+.4f}{amp.imag:+.4f}i |{label}>")
+        # a part that rounds to zero prints as +0.0000, whatever its sign
+        real, imag = (round(v, 4) or 0.0 for v in (amp.real, amp.imag))
+        print(f"  {real:+.4f}{imag:+.4f}i |{label}>")
     if error is not None:
         syndrome = syndrome_of(error, sf)
         print(f"syndrome: {syndrome:0{sf.m}b} (decimal {syndrome})")

@@ -180,26 +180,44 @@ _PAIR_RULE = {
 }
 
 
+def _resume(reach: list[int], i: int) -> int:
+    """Where a left-to-right rescan must restart after a change at ``i``.
+
+    ``reach[p]`` is the last index the scan from position ``p`` read.  A
+    scan that stopped before ``i`` read nothing that changed, so it would
+    end the same way again: the rescan restarts at the first position
+    whose scan reached ``i``, and the records from there on are dropped.
+    """
+    p = next((p for p, r in enumerate(reach) if r >= i), i)
+    del reach[p:]
+    return p
+
+
 def _pass_cancel(gates, fires):
-    """Cancel equal involutive pairs and merge S pairs, modulo commuters."""
+    """Cancel equal involutive pairs and merge S pairs, modulo commuters.
+
+    Each position scans right for its partner through gates it commutes
+    with.  The first position whose scan finds one fires, and the scan
+    resumes (:func:`_resume`) where a rescan from position 0 would first
+    see a difference, so the firings are the same as that rescan's.
+    """
     out = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            g = out[i]
-            if g.kind not in _PAIR_RULE:
+    reach: list[int] = []
+    i = 0
+    while i < len(out):
+        g = out[i]
+        j = i
+        if g.kind in _PAIR_RULE:
+            j += 1
+            while j < len(out) and out[j] != g and gates_commute(g, out[j]):
+                j += 1
+            if j < len(out) and out[j] == g:
+                del out[j]
+                out[i:i + 1] = fires.apply(_PAIR_RULE[g.kind], *g.q)
+                i = _resume(reach, i)
                 continue
-            for j in range(i + 1, len(out)):
-                if out[j] == g:
-                    del out[j]
-                    out[i:i + 1] = fires.apply(_PAIR_RULE[g.kind], *g.q)
-                    changed = True
-                    break
-                if not gates_commute(g, out[j]):
-                    break
-            if changed:
-                break
+        reach.append(j)
+        i += 1
     return out
 
 
@@ -208,24 +226,31 @@ def _pass_collect_frame(gates, fires):
 
     Returns (remaining gates, frame gates).  The frame is reported per
     qubit as the net power of S — S, Z, or Z then S — in qubit order.
+    The first S or Z that commutes with every later gate moves, and the
+    scan resumes as in :func:`_pass_cancel`.
     """
     out = list(gates)
     powers: dict[int, int] = {}
-    moved = True
-    while moved:
-        moved = False
-        for i, g in enumerate(out):
-            if g.kind not in ("S", "Z"):
-                continue
-            if all(gates_commute(g, later) for later in out[i + 1:]):
+    reach: list[int] = []
+    i = 0
+    while i < len(out):
+        g = out[i]
+        j = i
+        if g.kind in ("S", "Z"):
+            j += 1
+            while j < len(out) and gates_commute(g, out[j]):
+                j += 1
+            if j == len(out):
                 powers[g.q[0]] = (
                     powers.get(g.q[0], 0) + (1 if g.kind == "S" else 2)
                 ) % 4
                 if i + 1 < len(out):
                     fires.hit("gate_commutation_move", len(out) - i - 1)
                 del out[i]
-                moved = True
-                break
+                i = _resume(reach, i)
+                continue
+        reach.append(j)
+        i += 1
     frame = []
     for q in sorted(powers):
         p = powers[q]

@@ -11,6 +11,7 @@ it too is verified exhaustively at import time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,22 +213,25 @@ register(RewriteRule(
 # Commutation
 
 
-def _local_actions(gate: Gate) -> dict[int, str]:
-    """How ``gate`` acts on each of its qubits: diagonal, X-type, Y-type, or H."""
-    kind = gate.kind
-    if kind in ("S", "Z"):
-        return {gate.q[0]: "diag"}
-    if kind in ("X", "Y", "H"):
-        return {gate.q[0]: {"X": "x", "Y": "y", "H": "h"}[kind]}
-    c, t = gate.q
-    if kind == "CZ":
-        return {c: "diag", t: "diag"}
-    return {c: "diag", t: "x" if kind == "CX" else "y"}
+@functools.cache
+def _action_masks(gate: Gate) -> tuple[int, int, int, int]:
+    """(support, diagonal, X-like, Y-like) bit masks over ``gate``'s qubits.
 
-
-_COMMUTING_LOCAL_PAIRS = {
-    ("diag", "diag"), ("x", "x"), ("y", "y"),
-}
+    S, Z and both CZ legs are diagonal, as is the control of CX and CY;
+    an X, Y, CX or CY target is X-like or Y-like; H is none of the three.
+    Cached per gate: at most 8·n² gates exist on qubits 1..n.
+    """
+    kind, bits = gate.kind, [1 << q for q in gate.q]
+    support = sum(bits)
+    if kind in ("S", "Z", "CZ"):
+        diagonal = support
+    elif kind in ("CX", "CY"):
+        diagonal = bits[0]
+    else:
+        diagonal = 0
+    x_like = bits[-1] if kind in ("X", "CX") else 0
+    y_like = bits[-1] if kind in ("Y", "CY") else 0
+    return support, diagonal, x_like, y_like
 
 
 def gates_commute(a: Gate, b: Gate) -> bool:
@@ -235,12 +239,13 @@ def gates_commute(a: Gate, b: Gate) -> bool:
 
     Conservative: gates with disjoint supports always commute, and on
     every shared qubit the local actions must be of the same commuting
-    type (both diagonal, both X-like, or both Y-like).  Verified
-    exhaustively against the dense simulator at import time.
+    type (both diagonal, both X-like, or both Y-like).  One comparison of
+    cached bit masks.  Verified exhaustively against the dense simulator
+    at import time.
     """
-    la, lb = _local_actions(a), _local_actions(b)
-    shared = la.keys() & lb.keys()
-    return all((la[q], lb[q]) in _COMMUTING_LOCAL_PAIRS for q in shared)
+    sa, da, xa, ya = _action_masks(a)
+    sb, db, xb, yb = _action_masks(b)
+    return (sa & sb) == ((da & db) | (xa & xb) | (ya & yb))
 
 
 def _verify_commutation_predicate() -> None:

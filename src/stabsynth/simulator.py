@@ -2,9 +2,10 @@
 
 States are length-2^n complex128 arrays with qubit 1 as the most
 significant bit of the basis index, so a printed label like |10001110>
-reads left-to-right as qubits 1..n.  Gates are applied as exact sparse
-updates on reshaped views; every application asserts norm preservation to
-1e-10.
+reads left-to-right as qubits 1..n.  Each gate kind has its own in-place
+update on the two reshaped halves it mixes: a swap for X and CX, a
+negation for Z and CZ, a factor i for S, ±i with a swap for Y and CY, and
+a butterfly for H.  Every application asserts norm preservation to 1e-10.
 
 This module is deliberately independent of the synthesis path wherever it
 serves as an oracle: ``projector_encode`` builds encoded states directly
@@ -25,6 +26,7 @@ reach every other input with one Pauli: the circuit's C|b> is
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -48,14 +50,6 @@ __all__ = [
 TOL = 1e-10
 
 _SQ = 1.0 / np.sqrt(2.0)
-_GATE_1Q = {
-    "H": np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=np.complex128),
-    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-_CONTROLLED = {"CX": _GATE_1Q["X"], "CY": _GATE_1Q["Y"], "CZ": _GATE_1Q["Z"]}
 
 
 class StateVector:
@@ -100,38 +94,67 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
-def _apply_1q(amps: np.ndarray, n: int, qubit: int, u: np.ndarray) -> None:
-    axis = qubit - 1
-    view = amps.reshape((2,) * n)
-    idx0 = (slice(None),) * axis + (0,)
-    idx1 = (slice(None),) * axis + (1,)
-    a0 = view[idx0].copy()
-    a1 = view[idx1].copy()
-    view[idx0] = u[0, 0] * a0 + u[0, 1] * a1
-    view[idx1] = u[1, 0] * a0 + u[1, 1] * a1
+def _halves(amps: np.ndarray, q: tuple[int, ...]):
+    """Views of the amplitudes whose target bit is 0 and whose target bit is 1.
+
+    ``q`` is (qubit,) or (control, target); for a controlled gate both
+    views hold only the amplitudes whose control bit is 1.
+    """
+    if len(q) == 1:
+        view = amps.reshape(1 << (q[0] - 1), 2, -1)
+        return view[:, 0], view[:, 1]
+    c, t = q
+    lo, hi = min(c, t), max(c, t)
+    view = amps.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+    if c < t:
+        return view[:, 1, :, 0], view[:, 1, :, 1]
+    return view[:, 0, :, 1], view[:, 1, :, 1]
 
 
-def _apply_controlled(amps: np.ndarray, n: int, control: int, target: int, u: np.ndarray) -> None:
-    view = amps.reshape((2,) * n)
-    sub = view[(slice(None),) * (control - 1) + (1,)]
-    t_axis = target - 1 - (1 if target > control else 0)
-    idx0 = (slice(None),) * t_axis + (0,)
-    idx1 = (slice(None),) * t_axis + (1,)
-    a0 = sub[idx0].copy()
-    a1 = sub[idx1].copy()
-    sub[idx0] = u[0, 0] * a0 + u[0, 1] * a1
-    sub[idx1] = u[1, 0] * a0 + u[1, 1] * a1
+def _swap(a0: np.ndarray, a1: np.ndarray) -> None:  # X
+    kept = a0.copy()
+    a0[...] = a1
+    a1[...] = kept
+
+
+def _swap_y(a0: np.ndarray, a1: np.ndarray) -> None:  # Y = [[0, -i], [i, 0]]
+    kept = a0 * 1j
+    np.multiply(a1, -1j, out=a0)
+    a1[...] = kept
+
+
+def _negate(a0: np.ndarray, a1: np.ndarray) -> None:  # Z
+    np.negative(a1, out=a1)
+
+
+def _phase(a0: np.ndarray, a1: np.ndarray) -> None:  # S
+    a1 *= 1j
+
+
+def _butterfly(a0: np.ndarray, a1: np.ndarray) -> None:  # H
+    total = a0 + a1
+    np.subtract(a0, a1, out=a1)
+    np.multiply(total, _SQ, out=a0)
+    a1 *= _SQ
+
+
+# One in-place update per gate kind; a controlled gate applies its
+# target's update to the control-1 half.  Every update but H's moves
+# amplitudes exactly (multiplying by ±1 or ±i).
+_KERNELS = {
+    "X": _swap, "CX": _swap,
+    "Y": _swap_y, "CY": _swap_y,
+    "Z": _negate, "CZ": _negate,
+    "S": _phase,
+    "H": _butterfly,
+}
 
 
 def apply_gate(state: StateVector, gate: Gate) -> None:
     """Apply one gate in place, asserting norm preservation."""
-    if gate.kind in _GATE_1Q:
-        _apply_1q(state.amps, state.n, gate.q[0], _GATE_1Q[gate.kind])
-    else:
-        _apply_controlled(
-            state.amps, state.n, gate.control, gate.target, _CONTROLLED[gate.kind]
-        )
-    if abs(state.norm() - 1.0) > TOL:
+    amps = state.amps
+    _KERNELS[gate.kind](*_halves(amps, gate.q))
+    if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > TOL:
         raise AssertionError(f"norm drifted to {state.norm()} after {gate}")
 
 

@@ -289,6 +289,18 @@ def test_simulate_reports_syndrome(capsys):
     assert "outside" in err
 
 
+def test_simulate_prints_no_negative_zero(capsys):
+    # Y@1 gives the steane state purely imaginary amplitudes: their real
+    # parts print as +0.0000 whatever sign the arithmetic left them.
+    code, out, _ = run_cli(capsys, "simulate", "steane", "--error", "Y@1")
+    assert code == 0
+    assert "-0.0000" not in out
+    assert out.splitlines()[1:3] == [
+        "  +0.0000-0.3536i |0001011>",
+        "  +0.0000-0.3536i |0010101>",
+    ]
+
+
 def test_simulate_logical_bits(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "steane", "--logical", "1"

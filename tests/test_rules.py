@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stabsynth import rules
-from stabsynth.circuit import Gate
+from stabsynth.circuit import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, Gate
 from stabsynth.rules import REGISTRY, RewriteRule, gates_commute, register, rule
 from stabsynth.simulator import StateVector, apply_gate
 
@@ -86,6 +86,40 @@ def test_known_commutation_calls():
     assert gates_commute(Gate("Z", (1,)), Gate("CX", (1, 2)))
     assert not gates_commute(Gate("Z", (2,)), Gate("CX", (1, 2)))
     assert not gates_commute(Gate("H", (1,)), Gate("CX", (1, 2)))
+
+
+def _reference_local_actions(gate):
+    """How ``gate`` acts on each of its qubits: diagonal, X-type, Y-type, or H."""
+    kind = gate.kind
+    if kind in ("S", "Z"):
+        return {gate.q[0]: "diag"}
+    if kind in ("X", "Y", "H"):
+        return {gate.q[0]: {"X": "x", "Y": "y", "H": "h"}[kind]}
+    c, t = gate.q
+    if kind == "CZ":
+        return {c: "diag", t: "diag"}
+    return {c: "diag", t: "x" if kind == "CX" else "y"}
+
+
+def _reference_gates_commute(a, b):
+    """The per-qubit-dict predicate the bit-mask test replaced."""
+    la, lb = _reference_local_actions(a), _reference_local_actions(b)
+    return all(
+        (la[q], lb[q]) in {("diag", "diag"), ("x", "x"), ("y", "y")}
+        for q in la.keys() & lb.keys()
+    )
+
+
+def test_gates_commute_matches_the_local_action_predicate():
+    gates = [Gate(k, (q,)) for k in ONE_QUBIT_KINDS for q in range(1, 5)]
+    gates += [
+        Gate(k, (c, t)) for k in TWO_QUBIT_KINDS
+        for c in range(1, 5) for t in range(1, 5) if c != t
+    ]
+    assert len(gates) == 56
+    for a in gates:
+        for b in gates:
+            assert gates_commute(a, b) == _reference_gates_commute(a, b), (a, b)
 
 
 def test_import_time_check_rejects_a_wrong_predicate(monkeypatch):

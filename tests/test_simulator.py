@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabsynth import simulator
 from stabsynth.circuit import GATE_KINDS, ONE_QUBIT_KINDS, Circuit, Gate
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.pauli import PauliString
@@ -70,6 +71,71 @@ def test_two_qubit_gates():
     expected = np.zeros(4, dtype=complex)
     expected[0b11] = 1j
     assert np.allclose(state.amps, expected)
+
+
+_REFERENCE_1Q = {
+    "H": np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=np.complex128),
+    "S": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def _reference_apply_gate(amps, n, gate):
+    """The generic 2x2 update on an n-dimensional view, one copy per half."""
+    view = amps.reshape((2,) * n)
+    if len(gate.q) == 1:
+        u, sub, axis = _REFERENCE_1Q[gate.kind], view, gate.q[0] - 1
+    else:
+        c, t = gate.q
+        u = _REFERENCE_1Q[gate.kind[1]]
+        sub = view[(slice(None),) * (c - 1) + (1,)]
+        axis = t - 1 - (1 if t > c else 0)
+    idx0 = (slice(None),) * axis + (0,)
+    idx1 = (slice(None),) * axis + (1,)
+    a0 = sub[idx0].copy()
+    a1 = sub[idx1].copy()
+    sub[idx0] = u[0, 0] * a0 + u[0, 1] * a1
+    sub[idx1] = u[1, 0] * a0 + u[1, 1] * a1
+
+
+def test_gate_kernels_match_the_generic_update():
+    # Every kind and both control/target orders on random states, some
+    # with zero amplitudes.  Only H rounds: the others move amplitudes by
+    # ±1 or ±i, so they match exactly (== ignores the sign of a zero).
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        gates = [Gate(k, (q,)) for k in ONE_QUBIT_KINDS for q in range(1, n + 1)]
+        gates += [
+            Gate(k, (c, t)) for k in ("CX", "CY", "CZ")
+            for c in range(1, n + 1) for t in range(1, n + 1) if c != t
+        ]
+        for gate in gates:
+            for sparse in (False, True):
+                amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+                if sparse:
+                    amps[rng.random(2**n) < 0.5] = 0
+                    amps[0] = 1
+                state = StateVector(n, amps / np.linalg.norm(amps))
+                want = state.amps.copy()
+                _reference_apply_gate(want, n, gate)
+                apply_gate(state, gate)
+                if gate.kind == "H":
+                    assert np.max(np.abs(state.amps - want)) <= 1e-14, gate
+                else:
+                    assert np.array_equal(state.amps, want), gate
+
+
+def test_apply_gate_rejects_a_kernel_that_changes_the_norm(monkeypatch):
+    def stretch(a0, a1):
+        a1 *= 1 + 1e-9
+
+    monkeypatch.setitem(simulator._KERNELS, "S", stretch)
+    state = StateVector(2, np.full(4, 0.5, dtype=np.complex128))
+    with pytest.raises(AssertionError, match="norm drifted"):
+        apply_gate(state, Gate("S", (2,)))
+    apply_gate(StateVector.from_label("00"), Gate("S", (2,)))  # |1> part is 0
 
 
 def test_run_accepts_label_state_or_nothing():
