@@ -40,7 +40,8 @@ def block_to_matrix(gates, n):
     Row ``i`` of the result expresses the final bit carried by qubit
     ``i + 1`` as a GF(2) combination of the input bits.  Gates are applied
     in circuit order; anything other than a CX raises ``ValueError``
-    because only CNOT networks are linear in this sense.
+    because only CNOT networks are linear in this sense, and so does a
+    gate on a qubit outside 1..n.
     """
     m = _identity(n)
     for gate in gates:
@@ -49,6 +50,8 @@ def block_to_matrix(gates, n):
                 f"block_to_matrix needs a CX-only sequence, found {gate.kind}"
             )
         c, t = gate.q
+        if not (1 <= c <= n and 1 <= t <= n):
+            raise ValueError(f"{gate} acts outside qubits 1..{n}")
         m[t - 1] ^= m[c - 1]
     return tuple(m)
 
@@ -164,17 +167,35 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     transposition table is keyed by that int.  A child differs from its
     parent only in row t, so its h is the parent's h corrected by row t
     alone, and the goal test is ``h == 0``: each child costs O(1) where
-    rebuilding a row tuple and recounting h cost O(n).  Children are goal-
-    and bound-tested inline, which is exactly what a recursive call did
-    first; a node is entered only when it is expanded, which is where the
-    budget is charged.  The table holds only the children that pass the
-    bound test: a child pruned at depth g + 1 is pruned by the bound again
-    at any later visit at the same or a greater depth, so its entry would
-    only grow the table.  Expansion order and budget accounting are the
-    same as a row-tuple search that records every child, node for node,
-    including where the budget runs out.  The move undoing the last one
-    needs no special case: its child is the parent, which the table
-    already holds at a smaller depth.
+    rebuilding a row tuple and recounting h cost O(n).  For the same
+    reason one list of masked row differences serves the whole search: it
+    is updated at row t on the way into a child and restored on the way
+    out.  Children are goal- and bound-tested inline, which is exactly
+    what a recursive call did first; a node is entered only when it is
+    expanded, which is where the budget is charged.  The table holds only
+    the children that pass the bound test: a child pruned at depth g + 1
+    is pruned by the bound again at any later visit at the same or a
+    greater depth, so its entry would only grow the table.  Expansion
+    order and budget accounting are the same as a row-tuple search that
+    records every child, node for node, including where the budget runs
+    out.  The move undoing the last one needs no special case: its child
+    is the parent, which the table already holds at a smaller depth.
+
+    A frontier node (g + h == bound) leaves its children a slack of
+    h - 1, and a child's h is h - 1 only when CX(c, t) fixes a differing
+    row t, that is when row c equals row t's difference on the columns
+    that matter; every other child has f = bound + 1 or bound + 2 and is
+    pruned.  Every next bound a node returns is above ``bound`` and,
+    unless the search ends first, reaches the iteration's minimum, so once
+    a pruned child with f = bound + 1 has been seen, the next bound is
+    bound + 1 whatever the rest of the iteration prunes.  From then on
+    until the iteration ends, a frontier node indexes its differing rows
+    by value, walks only the fixing children, in the same (control,
+    target) order and with the same table, goal and budget handling, and
+    returns bound + 1 without looking at the children it would only
+    prune.  Those children are never entered or recorded, so the nodes
+    expanded, the budget charged and the gates returned are unchanged;
+    only the work per frontier node falls from O(n^2) to O(n).
     """
     goal_rows = _square_rows(matrix)
     n = len(goal_rows)
@@ -192,21 +213,24 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
             fallback = w
 
     shifts = [i * n for i in range(n)]
-    goal_pairs = list(zip(shifts, goal_rows))
     start = _pack_state(_identity(n), n)
-    h_start = sum(((start >> s) ^ r) & mask != 0 for s, r in goal_pairs)
+    # diff[t]: row t's masked difference from the target at the current node
+    diff = [(a ^ r) & mask for a, r in zip(_identity(n), goal_rows)]
+    h_start = sum(d != 0 for d in diff)
     if h_start == 0:
         return ()
 
     row_bits = (1 << n) - 1
-    # moves[c] lists (t, shift of row t, gate) in ascending t.
-    moves = [
-        [(t, shifts[t], Gate("CX", (c + 1, t + 1))) for t in range(n) if t != c]
-        for c in range(n)
-    ]
+    # cx[c][t] is CX(c + 1, t + 1); moves[c] lists (t, shift of row t, gate)
+    # in ascending t.
+    cx = [[Gate("CX", (c + 1, t + 1)) if t != c else None for t in range(n)]
+          for c in range(n)]
+    moves = [[(t, shifts[t], cx[c][t]) for t in range(n) if t != c]
+             for c in range(n)]
 
     upper = len(fallback)
     spent = 0
+    settled = False  # a pruned child with f == bound + 1 was seen
     path: list[Gate] = []
 
     def dfs(state, g, h, bound, seen):
@@ -214,13 +238,40 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
 
         Returns (found, next_bound); raises _Exhausted when out of budget.
         """
-        nonlocal spent
+        nonlocal spent, settled
         spent += 1
         if spent > budget:
             raise _Exhausted
         g1 = g + 1
         slack = bound - g1
-        diff = [((state >> s) ^ r) & mask for s, r in goal_pairs]
+        if settled and slack < h:
+            # Frontier node, next bound settled: only the children fixing a
+            # differing row (row c & mask == diff[t]) pass the bound.
+            fixes = {}
+            for t, d in enumerate(diff):
+                if d:
+                    fixes.setdefault(d, []).append(t)
+            for c in range(n):
+                row = (state >> shifts[c]) & row_bits
+                care = row & mask
+                for t in fixes.get(care, ()):
+                    if t == c:
+                        continue
+                    child = state ^ (row << shifts[t])
+                    prev = seen.get(child)
+                    if prev is not None and prev <= g1:
+                        continue
+                    path.append(cx[c][t])
+                    if h == 1:
+                        return True, bound
+                    seen[child] = g1
+                    diff[t] = 0
+                    found, _ = dfs(child, g1, h - 1, bound, seen)
+                    if found:
+                        return True, bound
+                    diff[t] = care
+                    path.pop()
+            return False, bound + 1
         nxt = None
         for c in range(n):
             row = (state >> shifts[c]) & row_bits
@@ -237,12 +288,16 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                     return True, bound
                 if hc > slack:
                     fb = g1 + hc
+                    if fb == bound + 1:
+                        settled = True
                 else:
                     seen[child] = g1
                     path.append(gate)
+                    diff[t] = d ^ care
                     found, fb = dfs(child, g1, hc, bound, seen)
                     if found:
                         return True, bound
+                    diff[t] = d
                     path.pop()
                 if nxt is None or fb < nxt:
                     nxt = fb
@@ -251,6 +306,7 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     bound = h_start
     try:
         while bound < upper:
+            settled = False
             found, nxt = dfs(start, 0, h_start, bound, {start: 0})
             if found:
                 return tuple(path)

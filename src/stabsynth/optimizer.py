@@ -503,16 +503,21 @@ def _pass_triangles(gates, fires):
 
 
 def _bubble_singles(gates):
-    """Move single-qubit gates left past two-qubit gates they commute with."""
-    out = list(gates)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(1, len(out)):
-            g, prev = out[i], out[i - 1]
-            if len(g.q) == 1 and len(prev.q) == 2 and gates_commute(prev, g):
-                out[i - 1], out[i] = g, prev
-                moved = True
+    """Move single-qubit gates left past two-qubit gates they commute with.
+
+    One insertion pass: each single-qubit gate sinks left until a
+    single-qubit gate or a two-qubit gate it does not commute with stops
+    it.  The adjacent swaps never overlap, so this is the one fixed point
+    that swapping until nothing moves would reach.
+    """
+    out = []
+    for g in gates:
+        i = len(out)
+        if len(g.q) == 1:
+            while (i and len(out[i - 1].q) == 2
+                   and gates_commute(out[i - 1], g)):
+                i -= 1
+        out.insert(i, g)
     return out
 
 
@@ -740,8 +745,9 @@ def optimize(
     report (and recorded in the circuit notes), and the circuit composed
     with its frame is re-simulated against the input on every ancilla-
     restricted basis state.  A mismatch raises ``OptimizationError``.
-    An unknown level, or a negative ``search_budget``, raises
-    ``ValueError`` at every level, before any pass runs.  Each entry of
+    An unknown level, a negative ``search_budget``, or a witness pair
+    that is not a CX on qubits 1..n raises ``ValueError`` at every level,
+    before any pass runs.  Each entry of
     ``report.blocks_resynthesized`` names the ``method`` whose gates
     replaced the region: ``"search"``, ``"witness"`` or ``"gaussian"``.
     """
@@ -754,6 +760,14 @@ def optimize(
         raise ValueError(
             f"search budget must be non-negative, got {search_budget}"
         )
+    witnesses = []
+    for i, pairs in enumerate(block_witnesses or (), 1):
+        try:
+            w = tuple(Gate("CX", (int(c), int(t))) for c, t in pairs)
+            block_to_matrix(w, circuit.n)
+        except ValueError as exc:
+            raise ValueError(f"block witness {i}: {exc}") from None
+        witnesses.append(w)
 
     fires = _Fires()
     report = OptimizationReport(
@@ -761,10 +775,6 @@ def optimize(
     )
     gates, frame, baseline = _pipeline(circuit, fires)
     if level == "full":
-        witnesses = [
-            tuple(Gate("CX", (int(c), int(t))) for c, t in w)
-            for w in (block_witnesses or ())
-        ]
         staged = _staged_resynthesis(
             gates, circuit, search_budget, witnesses, report
         )

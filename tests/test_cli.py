@@ -162,6 +162,22 @@ def test_optimize_bad_witness_file_exits_2(capsys, tmp_path, cnotcz_eight):
     assert "witness" in err
 
 
+def test_optimize_witness_outside_the_register_exits_2(
+    capsys, tmp_path, cnotcz_eight
+):
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"ops": [[1, 99]]}))
+    code, out, err = run_cli(
+        capsys, "optimize", str(cnotcz_eight), "--level", "full",
+        "--witness", str(witness),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: block witness 1: CX(1,99) acts outside qubits 1..8\n"
+    )
+
+
 def test_optimize_unreadable_circuit_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "optimize", str(tmp_path / "nope.json"))
     assert code == 2

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsynth import gf2
+from stabsynth import gf2, library, optimizer
 from stabsynth.circuit import Gate
+from stabsynth.encoder import synthesize_encoder
 from stabsynth.linear import (
     _square_rows,
     block_to_matrix,
@@ -26,6 +27,14 @@ def test_block_to_matrix_tracks_row_additions():
 def test_block_to_matrix_rejects_non_cx():
     with pytest.raises(ValueError, match="CX-only"):
         block_to_matrix([Gate("H", (1,))], 2)
+
+
+def test_block_to_matrix_rejects_qubits_outside_the_register():
+    outside = r"CX\(1,3\) acts outside qubits 1..2"
+    with pytest.raises(ValueError, match=outside):
+        block_to_matrix([Gate("CX", (1, 2)), Gate("CX", (1, 3))], 2)
+    with pytest.raises(ValueError, match=r"CX\(8,1\) acts outside"):
+        search_ops(gf2.as_bits(["10", "11"]), witness=[Gate("CX", (8, 1))])
 
 
 def test_identity_needs_no_gates():
@@ -322,3 +331,92 @@ def test_eight_qubit_t_matrix_is_pinned():
     assert _gate_key(search_ops(target, budget=4000)) == gaussian
     witness = tuple(Gate("CX", q) for q in TEN_OP_WITNESS)
     assert search_ops(target, budget=4000, witness=witness) == witness
+
+
+# ---------------------------------------------------------------------------
+# the frontier shortcut against the row-tuple reference
+#
+# Once an iteration has pruned a child at f = bound + 1, ``search_ops``
+# walks only the row-fixing children of each frontier node.  On these
+# seven- to nine-qubit cases that shortcut expands most of the nodes, so
+# a wrong gate, a missed child or a changed node count (which moves the
+# exhaustion point) shows against the reference.
+
+
+def _staged_searches():
+    """(matrix, witness, zero_columns) of each search eight_qubit's full
+    run makes, with and without its shipped block witnesses."""
+    calls = []
+
+    def record(matrix, **kw):
+        calls.append((matrix, kw["witness"], kw["zero_columns"]))
+        return search_ops(matrix, **kw)
+
+    code = library.load_code("eight_qubit")
+    enc = synthesize_encoder(code.standard_form(), gate_set="cnot_cz")
+    witnesses = library.golden_config("eight_qubit")["block_witnesses"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "search_ops", record)
+        for block_witnesses in (None, witnesses):
+            optimizer.optimize(enc, level="full", search_budget=4000,
+                               block_witnesses=block_witnesses)
+    return tuple(dict.fromkeys(calls))
+
+
+def _assert_matches_reference(target, budgets, witness=None, zero_columns=()):
+    for budget in budgets:
+        got = search_ops(target, budget=budget, witness=witness,
+                         zero_columns=zero_columns)
+        want = _reference_search_ops(target, budget=budget, witness=witness,
+                                     zero_columns=zero_columns)
+        assert got == want, (budget, zero_columns)
+
+
+def test_frontier_search_matches_the_reference_on_the_t_matrix():
+    from test_acceptance import T_MATRIX
+
+    _assert_matches_reference(gf2.as_bits(T_MATRIX), (1, 100, 1000, 4000))
+
+
+def test_frontier_search_matches_the_reference_on_staged_regions():
+    # The full staged regions run out of any budget the reference can
+    # afford here, so each is compared at a small budget, and the masked
+    # matrices of its witness's prefixes at their exhaustion points.
+    checked = 0
+    for matrix, witness, zero_columns in _staged_searches():
+        assert zero_columns
+        _assert_matches_reference(matrix, (0, 100), witness, zero_columns)
+        for k in range(4, len(witness)):
+            prefix = witness[:k]
+            target = block_to_matrix(prefix, len(matrix))
+            point = _exhaustion_point(target, prefix, zero_columns,
+                                      hi=500)
+            if point is not None:
+                _assert_matches_reference(
+                    target, (point - 1, point), prefix, zero_columns
+                )
+                checked += 1
+    assert checked >= 4
+
+
+def test_frontier_search_matches_the_reference_near_exhaustion():
+    checked = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(7, 10))
+        pairs = [tuple(int(q) + 1 for q in rng.choice(n, 2, replace=False))
+                 for _ in range(int(rng.integers(n, 2 * n)))]
+        gates = tuple(Gate("CX", q) for q in pairs)
+        target = block_to_matrix(gates, n)
+        witness = gates if rng.random() < 0.5 else None
+        zero_columns = tuple(
+            w for w in range(1, n + 1) if rng.random() < 0.3
+        )
+        point = _exhaustion_point(target, witness, zero_columns, hi=400)
+        if point is None:
+            continue
+        _assert_matches_reference(
+            target, (point - 1, point), witness, zero_columns
+        )
+        checked += 1
+    assert checked >= 10

@@ -134,6 +134,20 @@ def test_search_budget_is_checked_at_every_level(forms):
             optimize(encoder, level=level, search_budget=-7)
 
 
+def test_witness_outside_the_register_is_rejected_before_any_pass(forms):
+    encoder = synthesize_encoder(forms["steane"], gate_set="cnot_cz")
+    with mock.patch.object(optimizer, "_pipeline",
+                           side_effect=AssertionError("a pass ran")):
+        for level in ("rules", "full"):
+            with pytest.raises(ValueError, match=r"block witness 2: "
+                               r"CX\(1,99\) acts outside qubits 1..7"):
+                optimize(encoder, level=level,
+                         block_witnesses=[[(1, 2)], [(2, 3), (1, 99)]])
+            with pytest.raises(ValueError, match="block witness 1: CX "
+                               "control equals target"):
+                optimize(encoder, level=level, block_witnesses=[[(3, 3)]])
+
+
 def test_report_names_the_source_of_each_region():
     # An 8-gate CX block the rewrite passes leave alone: its Gaussian
     # circuit has 6 gates, the search finds 3.
@@ -587,3 +601,31 @@ def test_cancel_and_frame_commutation_tests_stay_few(monkeypatch):
         optimizer._pass_cancel, optimizer._pass_collect_frame, gates
     )
     assert calls <= 3000
+
+
+# ---------------------------------------------------------------------------
+# _bubble_singles against the swap-until-nothing-moves loop it replaced
+
+
+def _reference_bubble_singles(gates):
+    out = list(gates)
+    moved = True
+    while moved:
+        moved = False
+        for i in range(1, len(out)):
+            g, prev = out[i], out[i - 1]
+            if (len(g.q) == 1 and len(prev.q) == 2
+                    and optimizer.gates_commute(prev, g)):
+                out[i - 1], out[i] = g, prev
+                moved = True
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8), st.sampled_from(_ALPHABETS), st.integers(0, 120),
+    st.integers(0, 2**32 - 1),
+)
+def test_bubble_singles_matches_the_swap_loop(n, alphabet, size, seed):
+    gates = _random_gates(np.random.default_rng(seed), n, size, alphabet)
+    assert optimizer._bubble_singles(gates) == _reference_bubble_singles(gates)
