@@ -51,16 +51,16 @@ def _check_gate(kind: str, q: tuple[int, ...]) -> None:
 _GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Gate:
     """A single gate: ``kind`` plus 1-based qubit indices.
 
     Two-qubit gates store (control, target); for CZ the two play symmetric
     roles but the stored order is preserved for round-tripping.
 
-    Gates are interned: constructing an equal gate returns the existing
-    instance, so identity implies equality.  Equality and hashing still
-    compare values, and callers must keep using ``==``.
+    Gates are interned: constructing, copying or unpickling a gate returns
+    the one instance with its kind and qubits.  Equality and hashing are
+    therefore by identity, which is equality by value.
     """
 
     kind: str

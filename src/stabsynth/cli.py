@@ -19,6 +19,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import library
-from .circuit import Circuit, from_json, to_json, to_qasm
+from .circuit import Circuit, Gate, from_json, to_json, to_qasm
 from .gf2 import solve as gf2_solve
 from .linear import DEFAULT_SEARCH_BUDGET
 from .encoder import require_unsigned, synthesize_encoder
@@ -36,8 +37,8 @@ from .pauli import PauliString
 from .simulator import (
     TOL,
     apply_pauli,
-    check_stabilized,
     logical_label,
+    pauli_amplitudes,
     projector_encode,
     run,
 )
@@ -130,6 +131,115 @@ def _cmd_syndromes(args) -> int:
     return 0
 
 
+def _logical_inputs(circuit, sf):
+    """(P_b, L_b) for every logical input b, in label order.
+
+    Input b is one Pauli away from input 0 on both sides: the circuit
+    gives C|b> = P_b·psi with P_b the product of the conjugated logical
+    X's C·X_q·C†, and the oracle gives L_b·phi with L_b the product of
+    ``sf.logical_x``.  P_b is Hermitian, so comparing P_b·psi with
+    L_b·phi amplitude by amplitude is comparing psi with the one Pauli
+    image Q_b·phi, Q_b = P_b·L_b, at index j for label j ^ P_b.x.
+    """
+    n = sf.n
+    conj_x = [
+        PauliString(1 << n - q, 0, n=n).conjugated_by(circuit.gates)
+        for q in circuit.logical_qubits()
+    ]
+    one = PauliString.identity(n)
+    inputs = [(one, one)]
+    for b in range(1, 2**sf.k):
+        # b sets one more logical bit than b - low: its lowest set bit
+        low = b & -b
+        p, ell = inputs[b - low]
+        j = sf.k - low.bit_length()
+        inputs.append((p * conj_x[j], ell * sf.logical_x[j]))
+    return inputs
+
+
+def _compare_inputs(psi, phi, inputs, allow_frame):
+    """Compare every logical input's output with the oracle's.
+
+    ``psi`` is the circuit's amplitude array for input 0, ``phi`` the
+    oracle's state for it, and ``inputs`` lists (P_b, L_b) per input b, as
+    ``_logical_inputs`` returns them.  Returns ``(consistent, matched,
+    equations, quiet_signs)``:
+
+    - ``consistent`` is False when some input has an index where the two
+      amplitudes agree up to neither sign; the inputs after it are skipped.
+    - ``matched`` counts the inputs that agree within TOL everywhere.
+    - ``equations[flip, label]`` marks each label of a live index (either
+      amplitude at least 1e-10) whose amplitudes agree up to the sign
+      (-1)^flip.  A terminal Z frame on wire set F flips the sign of each
+      amplitude by the XOR of its label bits on F, so F solves
+      ``parity(label & F) == flip`` for every marked label.  Labels are
+      ``gf2`` rows (qubit 1 the most significant bit).
+    - ``quiet_signs`` (with ``allow_frame`` only) keeps per input whether a
+      quiet index fits neither sign within TOL, and the labels of the quiet
+      indices that fit only + and only -.  A solved F gives every live
+      index its sign, so only these can still fail under it.
+
+    Both sides are compared only where either is at least TOL/2.  Off that
+    set both amplitudes are below TOL/2, so the index is quiet, fits both
+    signs within TOL and cannot fail a match: the answer is the full
+    comparison's, at about 2·2^r amplitudes per input instead of 2^n.
+    """
+    psi_read = np.abs(psi) >= TOL / 2
+    psi_at = np.flatnonzero(psi_read)
+    phi_at = np.flatnonzero(np.abs(phi.amps) >= TOL / 2)
+    equations = np.zeros((2, psi.size), dtype=bool)
+    quiet_signs = []
+    consistent = True
+    matched = 0
+    for p, ell in inputs:
+        q = p * ell
+        extra = phi_at ^ q.x
+        at = np.concatenate([psi_at, extra[~psi_read[extra]]])
+        ours = psi[at]
+        theirs = pauli_amplitudes(phi, q, at)
+        diff = np.abs(ours - theirs)
+        total = np.abs(ours + theirs)
+        live = (np.abs(ours) >= 1e-10) | (np.abs(theirs) >= 1e-10)
+        same = live & (diff < 1e-10)
+        flip = live & ~same & (total < 1e-10)
+        if (live & ~(same | flip)).any():
+            consistent = False  # no frame is sought and nothing matches
+            break
+        if allow_frame:
+            # input b's label for psi's index i is i ^ P_b.x
+            labels = at ^ p.x
+            equations[0, labels[same]] = True
+            equations[1, labels[flip]] = True
+            plus, minus = ~live & (diff <= TOL), ~live & (total <= TOL)
+            quiet_signs.append((
+                (~live & ~(plus | minus)).any(),
+                labels[plus & ~minus].tolist(),
+                labels[minus & ~plus].tolist(),
+            ))
+        matched += bool(diff.max() <= TOL)
+    return consistent, matched, equations, quiet_signs
+
+
+def _fixing_signs(gates, generators) -> list[int | None]:
+    """Per generator g: 0 when g fixes psi, 1 when -g does, None when neither.
+
+    psi = C|0...0> for the circuit C that applies ``gates`` in order.  g
+    fixes psi exactly when C†·g·C fixes |0...0>, that is when C†·g·C is
+    +Z^z, and -g fixes psi when it is -Z^z.  C† applies the gates in
+    reverse, each its own inverse but S, whose inverse is S·Z.
+    """
+    inverse = []
+    for gate in reversed(gates):
+        inverse.append(gate)
+        if gate.kind == "S":
+            inverse.append(Gate("Z", gate.q))
+    signs = []
+    for g in generators:
+        pulled = g.conjugated_by(inverse)
+        signs.append(None if pulled.x else {0: 0, 2: 1}.get(pulled.phase_exp))
+    return signs
+
+
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
@@ -149,69 +259,13 @@ def _cmd_verify(args) -> int:
             f"but {code.name} has k={sf.k}"
         )
 
-    # Input b is one Pauli away from input 0 on both sides: the circuit
-    # gives C|b> = P_b·psi with P_b the product of the conjugated logical
-    # X's C·X_q·C†, and the oracle gives L_b·phi with L_b the product of
-    # ``sf.logical_x``.  P_b is Hermitian, so comparing P_b·psi with
-    # L_b·phi amplitude by amplitude is comparing psi with the one Pauli
-    # image Q_b·phi, Q_b = P_b·L_b, at index j for label j ^ P_b.x.
     n, k = sf.n, sf.k
-    base = run(circuit, logical_label(circuit, "0" * k))
-    psi = base.amps
+    psi = run(circuit, logical_label(circuit, "0" * k)).amps
     phi = projector_encode(sf, "0" * k)
-    conj_x = [
-        PauliString(1 << n - q, 0, n=n).conjugated_by(circuit.gates)
-        for q in logical
-    ]
-    one = PauliString.identity(n)
-    inputs = [(one, one)]  # (P_b, L_b) in label order
-    for b in range(1, 2**k):
-        # b sets one more logical bit than b - low: its lowest set bit
-        low = b & -b
-        p, ell = inputs[b - low]
-        j = k - low.bit_length()
-        inputs.append((p * conj_x[j], ell * sf.logical_x[j]))
-
-    # Sign equations for --allow-frame: a terminal Z frame on wire set F
-    # flips the sign of each amplitude by the XOR of its label bits on F.
-    # Labels are ``gf2`` rows (qubit 1 the most significant bit), so F as
-    # an int row solves ``parity(label & F) == flip`` for every label that
-    # matches up to sign; ``equations[flip, label]`` marks each once.
-    #
-    # Under a frame F, input b matches when every index i of psi is within
-    # TOL of the oracle with the sign (-1)^parity((i ^ P_b.x) & F).  A
-    # solved F gives every live index its sign, so only quiet indices (both
-    # amplitudes below 1e-10) can still fail: ``quiet_signs`` keeps, per
-    # input, whether one fits neither sign and the labels that fit one.
-    indices = np.arange(2**n)
-    equations = np.zeros((2, 2**n), dtype=bool)
-    psi_small = np.abs(psi) < 1e-10
-    consistent = True
-    matched = 0
-    quiet_signs = []
-    for p, ell in inputs:
-        moved = apply_pauli(phi, p * ell).amps
-        diff = np.abs(psi - moved)
-        total = np.abs(psi + moved)
-        live = ~(psi_small & (np.abs(moved) < 1e-10))
-        same = live & (diff < 1e-10)
-        flip = live & ~same & (total < 1e-10)
-        if (live & ~(same | flip)).any():
-            consistent = False  # no frame is sought and nothing matches
-            break
-        if args.allow_frame:
-            # label i holds input b's amplitude at psi's index i ^ P_b.x
-            shifted = indices ^ p.x
-            equations[0] |= same[shifted]
-            equations[1] |= flip[shifted]
-            plus, minus = ~live & (diff <= TOL), ~live & (total <= TOL)
-            quiet_signs.append((
-                (~live & ~(plus | minus)).any(),
-                (np.flatnonzero(plus & ~minus) ^ p.x).tolist(),
-                (np.flatnonzero(minus & ~plus) ^ p.x).tolist(),
-            ))
-        matched += bool(diff.max() <= TOL)
-
+    inputs = _logical_inputs(circuit, sf)
+    consistent, matched, equations, quiet_signs = _compare_inputs(
+        psi, phi, inputs, args.allow_frame
+    )
     frame = 0
     if args.allow_frame and consistent:
         rows = np.flatnonzero(equations[0]).tolist()
@@ -220,24 +274,19 @@ def _cmd_verify(args) -> int:
         consistent = solved is not None
         frame = solved or 0
     frame_wires = [q for q in range(1, n + 1) if frame >> (n - q) & 1]
-    z_frame = PauliString(0, frame, n=n)
 
-    # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with + when g commutes with
-    # Z_F·P_b, so whether g and whether -g fix psi decide every input.
-    fixed = [
-        (
-            check_stabilized(base, g),
-            check_stabilized(base, PauliString(g.x, g.z, g.phase_exp + 2, n=n)),
-        )
-        for g in sf.generators
-    ]
-    stabilized = sum(
-        all(
-            fixed_g[not g.commutes_with(z_frame * p)]
-            for g, fixed_g in zip(sf.generators, fixed)
-        )
-        for p, _ in inputs
-    )
+    # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with - when g anticommutes with
+    # Z_F·P_b, so g fixes input b when that sign cancels the one on g
+    # that fixes psi.
+    signs = _fixing_signs(circuit.gates, sf.generators)
+    stabilized = 0
+    if None not in signs:
+        for p, _ in inputs:
+            x, z = p.x, p.z ^ frame
+            stabilized += all(
+                ((g.x & z) ^ (g.z & x)).bit_count() & 1 == sign
+                for g, sign in zip(sf.generators, signs)
+            )
     # With no frame the first pass counted the matches.
     if not consistent:
         matched = 0
@@ -311,6 +360,7 @@ def _cmd_export_qasm(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stabsynth",
@@ -372,8 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

@@ -13,14 +13,16 @@ from the standard-form generators by expanding the stabilizer projector,
 with no circuit involved, so circuit-produced states can be checked
 against it.
 
-``apply_pauli`` is a signed permutation of the amplitudes: it flips each
-basis index by the operator's x bits and reads each sign from one
+A Pauli is a signed permutation of the amplitudes: it flips each basis
+index by the operator's x bits and reads each sign from one
 (-1)^popcount table, which is built once per n and shared.  Every
-applied phase is a power of i, so it moves amplitudes exactly.  That is
-what lets ``stabsynth verify`` simulate one logical input per side and
-reach every other input with one Pauli: the circuit's C|b> is
-(C·X^b·C†)·C|0>, the conjugation coming from
-``PauliString.conjugated_by``.
+applied phase is a power of i, so it moves amplitudes exactly.
+``pauli_amplitudes`` reads the image at any chosen indices and
+``apply_pauli`` is that read at every index.  That is what lets
+``stabsynth verify`` simulate one logical input per side and reach every
+other input with one Pauli, on the few indices where either side is
+nonzero: the circuit's C|b> is (C·X^b·C†)·C|0>, the conjugation coming
+from ``PauliString.conjugated_by``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "StateVector",
     "run",
     "apply_pauli",
+    "pauli_amplitudes",
     "projector_encode",
     "check_stabilized",
     "states_close",
@@ -195,7 +198,7 @@ def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices 0..2^n-1 and (-1)^popcount(i) for each index i.
 
     Z^z multiplies amplitude i by ``signs[i & z]``.  Both arrays are read
-    only and shared by every ``apply_pauli`` call on n qubits.
+    only and shared by every ``pauli_amplitudes`` call on n qubits.
     """
     signs = np.ones(1)
     for _ in range(n):  # the upper half has one more set bit
@@ -205,20 +208,28 @@ def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, signs
 
 
-def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    """Return p applied to the state (not in place).
+def pauli_amplitudes(
+    state: StateVector, p: PauliString, at: np.ndarray
+) -> np.ndarray:
+    """Amplitudes of p·state at the basis indices ``at``, in that order.
 
     ``p.x`` and ``p.z`` share the basis index's layout (qubit 1 the most
-    significant bit), so ``p.x`` flips an index by one XOR.
+    significant bit), so ``p.x`` flips an index by one XOR: index i of
+    p·state reads index i ^ p.x of the state.  Only the ``at`` entries
+    are computed, so a caller that needs a few of them never builds p·state.
     """
     if p.n != state.n:
         raise ValueError(f"operator has {p.n} qubits, state has {state.n}")
-    n = state.n
-    indices, signs = _index_tables(n)
+    signs = _index_tables(state.n)[1]
     phase = (1j) ** (p.phase_exp + (p.x & p.z).bit_count())
-    out = np.empty_like(state.amps)
-    out[indices ^ p.x] = state.amps * phase * signs[indices & p.z]
-    return StateVector(n, out)
+    source = at ^ p.x
+    return state.amps[source] * phase * signs[source & p.z]
+
+
+def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
+    """Return p applied to the state (not in place)."""
+    indices = _index_tables(state.n)[0]
+    return StateVector(state.n, pauli_amplitudes(state, p, indices))
 
 
 def projector_encode(sf: StandardForm, bits: str) -> StateVector:

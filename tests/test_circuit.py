@@ -58,9 +58,11 @@ def test_gate_copy_and_pickle_keep_value_and_identity():
     g = Gate("CZ", (3, 7))
     for again in (
         copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
-        pickle.loads(pickle.dumps(g, protocol=0)),
+        pickle.loads(pickle.dumps(g, protocol=0)), Gate(g.kind, g.q),
     ):
         assert again == g and again is g
+    # Interning makes identity equality by value, so no field is compared.
+    assert Gate.__eq__ is object.__eq__ and Gate.__hash__ is object.__hash__
 
 
 def test_slotted_circuit_builds_and_copies(mixed_encoders):

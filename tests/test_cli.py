@@ -6,7 +6,7 @@ import pytest
 
 from stabsynth import optimizer
 from stabsynth.circuit import Circuit, Gate, from_json, gate_counts, to_json
-from stabsynth.cli import main
+from stabsynth.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +78,34 @@ def test_verify_strict_rejects_twisted_encoder(capsys, cnotcz_eight):
     assert code == 0
     assert "after frame Z(1) Z(2) Z(3)" in out
     assert out.rstrip().endswith("PASS")
+
+
+def test_one_parser_serves_every_call_without_leaking_flags(
+    capsys, tmp_path, cnotcz_eight
+):
+    # The parser is built once per process; each call must still see only
+    # its own flags and the defaults.
+    code, out, _ = run_cli(
+        capsys, "verify", "eight_qubit", str(cnotcz_eight), "--allow-frame"
+    )
+    assert (code, out.splitlines()[-1]) == (0, "PASS")
+    assert "after frame Z(1) Z(2) Z(3)" in out
+    code, out, _ = run_cli(capsys, "verify", "eight_qubit", str(cnotcz_eight))
+    assert (code, out.splitlines()[-1]) == (1, "FAIL")
+    assert "after frame" not in out
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "eight_qubit", str(cnotcz_eight), "--fast"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "synth", "steane")
+    assert code == 0
+    assert gate_counts(from_json(out)) == {"H": 3, "CX": 11}
+
+    assert _build_parser() is _build_parser()
+    parse = _build_parser().parse_args
+    assert parse(["optimize", "c.json", "--witness", "w.json"]).witness == ["w.json"]
+    assert parse(["optimize", "c.json"]).witness is None
+    assert parse(["verify", "steane", "c.json"]).allow_frame is False
 
 
 def test_verify_catches_tampering(capsys, tmp_path, mixed_eight):
