@@ -19,7 +19,6 @@ import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
