@@ -89,6 +89,15 @@ def _cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    # Some generator neither fixes nor negates C|0...0>: no Z frame can
+    # repair that, so verify would FAIL the encoder whatever the frame.
+    if gate_set == "cnot_cz" and None in _fixing_signs(
+        circuit.gates, sf.generators
+    ):
+        raise _InputError(
+            f"the {args.gates} encoder cannot encode {code.name}: its "
+            "state is not stabilized up to a Z frame; use --gates mixed"
+        )
     _write_output(to_json(circuit), args.output)
     return 0
 

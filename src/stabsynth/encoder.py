@@ -77,6 +77,13 @@ def synthesize_encoder(
     order is recorded in the circuit notes.  With ``strip=False`` the raw
     synthesis output is returned, including the gates the default strip
     pass would remove.
+
+    The ``cnot_cz`` gate set writes Z for S and CZ·CX for CY, which drops
+    factors of i.  For a code whose standard form has a Y letter the
+    result can prepare a state that some generator neither fixes nor
+    negates, so no Z frame repairs it and ``stabsynth verify`` FAILs it
+    (the [[3,2]] code ``YIZ`` is one).  This function still returns that
+    circuit; ``stabsynth synth --gates cnot-cz`` refuses it.
     """
     if gate_set not in GATE_SETS:
         raise ValueError(f"unknown gate set {gate_set!r}; choose from {GATE_SETS}")

@@ -193,27 +193,40 @@ def _resume(reach: list[int], i: int) -> int:
     return p
 
 
+def _support(g: Gate) -> int:
+    """Bit mask of the qubits ``g`` acts on."""
+    return 1 << g.q[0] | 1 << g.q[-1]
+
+
 def _pass_cancel(gates, fires):
     """Cancel equal involutive pairs and merge S pairs, modulo commuters.
 
     Each position scans right for its partner through gates it commutes
-    with.  The first position whose scan finds one fires, and the scan
-    resumes (:func:`_resume`) where a rescan from position 0 would first
-    see a difference, so the firings are the same as that rescan's.
+    with; a gate that shares no qubit with it commutes and differs, so a
+    mask test steps past it.  The first position whose scan finds a
+    partner fires, and the scan resumes (:func:`_resume`) where a rescan
+    from position 0 would first see a difference, so the firings are the
+    same as that rescan's.
     """
     out = list(gates)
+    masks = [_support(g) for g in out]
     reach: list[int] = []
     i = 0
     while i < len(out):
         g = out[i]
         j = i
         if g.kind in _PAIR_RULE:
+            m = masks[i]
             j += 1
-            while j < len(out) and out[j] != g and gates_commute(g, out[j]):
+            while j < len(out) and (
+                not masks[j] & m or (out[j] != g and gates_commute(g, out[j]))
+            ):
                 j += 1
             if j < len(out) and out[j] == g:
-                del out[j]
-                out[i:i + 1] = fires.apply(_PAIR_RULE[g.kind], *g.q)
+                del out[j], masks[j]
+                merged = fires.apply(_PAIR_RULE[g.kind], *g.q)
+                out[i:i + 1] = merged
+                masks[i:i + 1] = [_support(h) for h in merged]
                 i = _resume(reach, i)
                 continue
         reach.append(j)
@@ -227,9 +240,11 @@ def _pass_collect_frame(gates, fires):
     Returns (remaining gates, frame gates).  The frame is reported per
     qubit as the net power of S — S, Z, or Z then S — in qubit order.
     The first S or Z that commutes with every later gate moves, and the
-    scan resumes as in :func:`_pass_cancel`.
+    scan steps past gates on other qubits and resumes as in
+    :func:`_pass_cancel`.
     """
     out = list(gates)
+    masks = [_support(g) for g in out]
     powers: dict[int, int] = {}
     reach: list[int] = []
     i = 0
@@ -237,8 +252,11 @@ def _pass_collect_frame(gates, fires):
         g = out[i]
         j = i
         if g.kind in ("S", "Z"):
+            m = masks[i]
             j += 1
-            while j < len(out) and gates_commute(g, out[j]):
+            while j < len(out) and (
+                not masks[j] & m or gates_commute(g, out[j])
+            ):
                 j += 1
             if j == len(out):
                 powers[g.q[0]] = (
@@ -246,7 +264,7 @@ def _pass_collect_frame(gates, fires):
                 ) % 4
                 if i + 1 < len(out):
                     fires.hit("gate_commutation_move", len(out) - i - 1)
-                del out[i]
+                del out[i], masks[i]
                 i = _resume(reach, i)
                 continue
         reach.append(j)
@@ -740,8 +758,11 @@ def optimize(
     shape, falling back to per-block resynthesis otherwise.  Known short
     realisations can be supplied as ``block_witnesses`` (sequences of CX
     gates); a witness is used whenever its matrix matches a region's on
-    the columns that matter.  The returned circuit is expressed over
-    {H, CX}; any residual diagonal Pauli frame is split into the
+    the columns that matter.  The returned circuit holds no CY or CZ:
+    retarget rewrites them into H, CX and S.  The single-qubit X, Y, Z
+    and S gates that do not cancel, merge or move into the frame pass
+    through, so the result is over {H, CX, X, Y, Z, S}.  Any residual
+    diagonal Pauli frame is split into the
     report (and recorded in the circuit notes), and the circuit composed
     with its frame is re-simulated against the input on every ancilla-
     restricted basis state.  A mismatch raises ``OptimizationError``.

@@ -5,7 +5,10 @@ significant bit of the basis index, so a printed label like |10001110>
 reads left-to-right as qubits 1..n.  Each gate kind has its own in-place
 update on the two reshaped halves it mixes: a swap for X and CX, a
 negation for Z and CZ, a factor i for S, ±i with a swap for Y and CY, and
-a butterfly for H.  Every application asserts norm preservation to 1e-10.
+a butterfly for H.  Gates run through a ``GatePlan``, which looks up each
+gate's update and views once per gate list and buffer, so an input after
+the first costs only the updates.  Every application asserts norm
+preservation to 1e-10.
 
 This module is deliberately independent of the synthesis path wherever it
 serves as an oracle: ``projector_encode`` builds encoded states directly
@@ -39,6 +42,8 @@ from .symplectic import StandardForm
 
 __all__ = [
     "StateVector",
+    "GatePlan",
+    "apply_gate",
     "run",
     "apply_pauli",
     "pauli_amplitudes",
@@ -105,13 +110,16 @@ def _halves(amps: np.ndarray, q: tuple[int, ...]):
     """
     if len(q) == 1:
         view = amps.reshape(1 << (q[0] - 1), 2, -1)
-        return view[:, 0], view[:, 1]
-    c, t = q
-    lo, hi = min(c, t), max(c, t)
-    view = amps.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
-    if c < t:
-        return view[:, 1, :, 0], view[:, 1, :, 1]
-    return view[:, 0, :, 1], view[:, 1, :, 1]
+        a0, a1 = view[:, 0], view[:, 1]
+    else:
+        c, t = q
+        lo, hi = min(c, t), max(c, t)
+        view = amps.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+        if c < t:
+            a0, a1 = view[:, 1, :, 0], view[:, 1, :, 1]
+        else:
+            a0, a1 = view[:, 0, :, 1], view[:, 1, :, 1]
+    return a0.squeeze(), a1.squeeze()  # fewer axes, cheaper ufunc loops
 
 
 def _swap(a0: np.ndarray, a1: np.ndarray) -> None:  # X
@@ -134,16 +142,17 @@ def _phase(a0: np.ndarray, a1: np.ndarray) -> None:  # S
     a1 *= 1j
 
 
-def _butterfly(a0: np.ndarray, a1: np.ndarray) -> None:  # H
-    total = a0 + a1
-    np.subtract(a0, a1, out=a1)
-    np.multiply(total, _SQ, out=a0)
-    a1 *= _SQ
+def _butterfly(a0: np.ndarray, a1: np.ndarray, kept, amps) -> None:  # H
+    np.copyto(kept, a0)
+    np.add(a0, a1, out=a0)
+    np.subtract(kept, a1, out=a1)
+    np.multiply(amps, _SQ, out=amps)  # the two halves are the whole state
 
 
 # One in-place update per gate kind; a controlled gate applies its
 # target's update to the control-1 half.  Every update but H's moves
-# amplitudes exactly (multiplying by ±1 or ±i).
+# amplitudes exactly (multiplying by ±1 or ±i).  H's also takes a scratch
+# copy of its 0-half and the whole buffer, which ``GatePlan`` supplies.
 _KERNELS = {
     "X": _swap, "CX": _swap,
     "Y": _swap_y, "CY": _swap_y,
@@ -153,12 +162,57 @@ _KERNELS = {
 }
 
 
+class GatePlan:
+    """A gate list compiled against one state buffer.
+
+    Building the plan resolves each gate's kernel and the two half-views
+    it mixes once; gates on the same qubit tuple share their views, and
+    every H shares one scratch buffer.  ``execute`` applies the gates in
+    order to whatever the buffer holds and asserts after every gate that
+    the norm stays within ``TOL`` of 1.  A caller that runs the same
+    gates on many inputs refills the buffer (``run_basis``) and executes
+    the plan again; the views stay valid as long as the buffer lives.
+    """
+
+    __slots__ = ("amps", "_steps")
+
+    def __init__(self, gates, amps: np.ndarray):
+        self.amps = amps
+        views: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        kept = None
+        steps = []
+        for gate in gates:
+            halves = views.get(gate.q)
+            if halves is None:
+                halves = views[gate.q] = _halves(amps, gate.q)
+            if gate.kind == "H":
+                if kept is None:
+                    kept = np.empty(amps.size // 2, dtype=amps.dtype)
+                halves += (kept.reshape(halves[0].shape), amps)
+            steps.append((functools.partial(_KERNELS[gate.kind], *halves), gate))
+        self._steps = steps
+
+    def execute(self) -> None:
+        """Apply the gates in order to the buffer, in place."""
+        amps = self.amps
+        for step, gate in self._steps:
+            step()
+            if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > TOL:
+                raise AssertionError(
+                    f"norm drifted to {float(np.linalg.norm(amps))} after {gate}"
+                )
+
+    def run_basis(self, index: int) -> np.ndarray:
+        """Reset the buffer to basis state ``index``, execute, return it."""
+        self.amps.fill(0.0)
+        self.amps[index] = 1.0
+        self.execute()
+        return self.amps
+
+
 def apply_gate(state: StateVector, gate: Gate) -> None:
     """Apply one gate in place, asserting norm preservation."""
-    amps = state.amps
-    _KERNELS[gate.kind](*_halves(amps, gate.q))
-    if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > TOL:
-        raise AssertionError(f"norm drifted to {state.norm()} after {gate}")
+    GatePlan((gate,), state.amps).execute()
 
 
 def run(c: Circuit, start: StateVector | str | None = None) -> StateVector:
@@ -177,8 +231,7 @@ def run(c: Circuit, start: StateVector | str | None = None) -> StateVector:
         if start.n != c.n:
             raise ValueError(f"state has {start.n} qubits, circuit has {c.n}")
         state = start.copy()
-    for gate in c.gates:
-        apply_gate(state, gate)
+    GatePlan(c.gates, state.amps).execute()
     return state
 
 
@@ -316,7 +369,9 @@ def circuits_equivalent(
 
     ``full`` scope runs every basis state; ``ancilla_restricted`` fixes
     ancilla_zero qubits to |0> and sweeps only the logical inputs, which is
-    the equivalence the optimizer must preserve.  With the global-phase
+    the equivalence the optimizer must preserve.  Each side compiles one
+    ``GatePlan`` over one buffer, and every input resets that buffer to
+    its basis state and executes the plan.  With the global-phase
     flag the circuits may differ by one phase shared by every input: it
     is read off the first input and every later input must match under
     it.  A phase per input would hide a relative phase between inputs,
@@ -327,19 +382,21 @@ def circuits_equivalent(
     if c1.n != c2.n:
         return False
     if scope == "full":
-        labels = [format(i, f"0{c1.n}b") for i in range(2**c1.n)]
+        inputs = range(2**c1.n)
     else:
         if c1.roles != c2.roles:
             return False
-        logical = c1.logical_qubits()
-        labels = []
-        for i in range(2 ** len(logical)):
-            bits = format(i, f"0{len(logical)}b") if logical else ""
-            labels.append(logical_label(c1, bits))
+        k = len(c1.logical_qubits())
+        inputs = [
+            int(logical_label(c1, format(i, f"0{k}b") if k else ""), 2)
+            for i in range(2**k)
+        ]
+    plan1 = GatePlan(c1.gates, np.empty(2**c1.n, dtype=np.complex128))
+    plan2 = GatePlan(c2.gates, np.empty(2**c2.n, dtype=np.complex128))
     phase = None
-    for label in labels:
-        a = run(c1, label).amps
-        b = run(c2, label).amps
+    for index in inputs:
+        a = plan1.run_basis(index)
+        b = plan2.run_basis(index)
         if up_to_global_phase:
             if phase is None:
                 phase = _relative_phase(a, b)
@@ -383,8 +440,7 @@ def measure_syndrome(
     extended = np.zeros(2 ** circuit.n, dtype=np.complex128)
     extended.reshape(2**sf.n, -1)[:, 0] = faulty.amps
     state = StateVector(circuit.n, extended)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
+    GatePlan(circuit.gates, state.amps).execute()
     bits = 0
     for qubit, bit_index in circuit.measurements:
         bits |= _read_deterministic_bit(state, qubit) << (sf.m - 1 - bit_index)

@@ -222,6 +222,33 @@ def test_synth_signed_generator_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_synth_cnot_cz_refuses_a_code_it_cannot_encode(capsys, tmp_path):
+    # Z in place of S leaves a factor of i on YIZ that no Z frame absorbs.
+    stab = tmp_path / "yiz.stab"
+    stab.write_text("name: yiz\nn: 3\nk: 2\nYIZ\n")
+    code, out, err = run_cli(capsys, "synth", str(stab), "--gates", "cnot-cz")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the cnot-cz encoder cannot encode yiz")
+    assert err.rstrip().endswith("use --gates mixed")
+    assert err.count("\n") == 1
+    encoder = tmp_path / "yiz.json"
+    assert main(["synth", str(stab), "-o", str(encoder)]) == 0
+    assert main(["verify", str(stab), str(encoder)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["eight_qubit", "steane", "thirteen_qubit"])
+def test_synth_cnot_cz_accepts_the_shipped_codes(capsys, tmp_path, name):
+    path = tmp_path / "enc.json"
+    code, _, err = run_cli(
+        capsys, "synth", name, "--gates", "cnot-cz", "-o", str(path)
+    )
+    assert (code, err) == (0, "")
+    code, out, _ = run_cli(capsys, "verify", name, str(path), "--allow-frame")
+    assert code == 0
+
+
 def test_simulate_signed_generator_exits_2(capsys, tmp_path):
     stab = tmp_path / "signed.stab"
     stab.write_text("name: signed\nn: 3\nk: 1\nZZI\n-IZZ\n")

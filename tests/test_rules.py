@@ -127,3 +127,20 @@ def test_import_time_check_rejects_a_wrong_predicate(monkeypatch):
     monkeypatch.setattr(rules, "gates_commute", lambda a, b: True)
     with pytest.raises(AssertionError, match="wrongly passes"):
         rules._verify_commutation_predicate()
+
+
+@pytest.mark.parametrize("first, second", [("X", "Z"), ("Z", "X")])
+def test_import_time_check_names_a_single_wrong_pair(monkeypatch, first, second):
+    # X(1) and Z(1) anticommute: a predicate wrong on that one ordered
+    # pair out of all the three-qubit pairs must still be caught, in
+    # either order.
+    commute = rules.gates_commute
+    wrong = (Gate(first, (1,)), Gate(second, (1,)))
+    monkeypatch.setattr(
+        rules, "gates_commute", lambda a, b: (a, b) == wrong or commute(a, b)
+    )
+    with pytest.raises(
+        AssertionError,
+        match=rf"wrongly passes {first}\(1\) and {second}\(1\)$",
+    ):
+        rules._verify_commutation_predicate()

@@ -9,6 +9,7 @@ from stabsynth.circuit import GATE_KINDS, ONE_QUBIT_KINDS, Circuit, Gate
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.pauli import PauliString
 from stabsynth.simulator import (
+    GatePlan,
     StateVector,
     apply_gate,
     apply_pauli,
@@ -136,6 +137,139 @@ def test_apply_gate_rejects_a_kernel_that_changes_the_norm(monkeypatch):
     with pytest.raises(AssertionError, match="norm drifted"):
         apply_gate(state, Gate("S", (2,)))
     apply_gate(StateVector.from_label("00"), Gate("S", (2,)))  # |1> part is 0
+
+
+# The per-gate loop the gate plan replaced: views and kernel looked up at
+# every gate, and the H butterfly on its two halves alone.
+
+
+def _per_gate_halves(amps, q):
+    if len(q) == 1:
+        view = amps.reshape(1 << (q[0] - 1), 2, -1)
+        return view[:, 0], view[:, 1]
+    c, t = q
+    lo, hi = min(c, t), max(c, t)
+    view = amps.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+    if c < t:
+        return view[:, 1, :, 0], view[:, 1, :, 1]
+    return view[:, 0, :, 1], view[:, 1, :, 1]
+
+
+def _per_gate_swap(a0, a1):
+    kept = a0.copy()
+    a0[...] = a1
+    a1[...] = kept
+
+
+def _per_gate_swap_y(a0, a1):
+    kept = a0 * 1j
+    np.multiply(a1, -1j, out=a0)
+    a1[...] = kept
+
+
+def _per_gate_butterfly(a0, a1):
+    total = a0 + a1
+    np.subtract(a0, a1, out=a1)
+    np.multiply(total, 1.0 / np.sqrt(2.0), out=a0)
+    a1 *= 1.0 / np.sqrt(2.0)
+
+
+def _per_gate_negate(a0, a1):
+    np.negative(a1, out=a1)
+
+
+def _per_gate_phase(a0, a1):
+    a1 *= 1j
+
+
+_PER_GATE_KERNELS = {
+    "X": _per_gate_swap, "CX": _per_gate_swap,
+    "Y": _per_gate_swap_y, "CY": _per_gate_swap_y,
+    "Z": _per_gate_negate, "CZ": _per_gate_negate,
+    "S": _per_gate_phase, "H": _per_gate_butterfly,
+}
+
+
+def _same_bits(a, b):
+    """Equal as bit patterns, so a -0.0 against a 0.0 also fails."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _per_gate_run(amps, gates):
+    for gate in gates:
+        _PER_GATE_KERNELS[gate.kind](*_per_gate_halves(amps, gate.q))
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-10
+
+
+@st.composite
+def _gates_and_start(draw):
+    """1-10 qubits, gates of every kind on a few qubit tuples used again
+    and again, and a basis or a random start state."""
+    n = draw(st.integers(1, 10))
+    qubit = st.integers(1, n)
+    singles = draw(st.lists(qubit.map(lambda q: (q,)), min_size=1, max_size=3))
+    pairs = []
+    if n > 1:
+        pair = st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
+        pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    kinds = GATE_KINDS if n > 1 else ONE_QUBIT_KINDS
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        pool = singles if kind in ONE_QUBIT_KINDS else pairs
+        gates.append(Gate(kind, draw(st.sampled_from(pool))))
+    if draw(st.booleans()):
+        start = np.zeros(2**n, dtype=np.complex128)
+        start[draw(st.integers(0, 2**n - 1))] = 1.0
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        start /= np.linalg.norm(start)
+    return n, gates, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gates_and_start())
+def test_gate_plan_is_bit_identical_to_the_per_gate_loop(case):
+    n, gates, start = case
+    want = start.copy()
+    _per_gate_run(want, gates)
+    plan = GatePlan(gates, start.copy())
+    plan.execute()
+    assert _same_bits(plan.amps, want)
+    circuit = Circuit(n=n, gates=gates, roles=("logical_input",) * n)
+    assert _same_bits(run(circuit, StateVector(n, start)).amps, want)
+    one_at_a_time = StateVector(n, start.copy())
+    for gate in gates:
+        apply_gate(one_at_a_time, gate)
+    assert _same_bits(one_at_a_time.amps, want)
+
+
+def test_gate_plan_runs_again_from_any_basis_state():
+    gates = [Gate("H", (1,)), Gate("CX", (1, 3)), Gate("S", (3,)), Gate("H", (1,))]
+    plan = GatePlan(gates, np.empty(8, dtype=np.complex128))
+    for index in (5, 0, 5, 3):
+        want = np.zeros(8, dtype=np.complex128)
+        want[index] = 1.0
+        _per_gate_run(want, gates)
+        assert _same_bits(plan.run_basis(index), want)
+
+
+def test_norm_drift_is_caught_by_run_and_circuits_equivalent(monkeypatch):
+    def stretch(a0, a1):
+        a1 *= 1 + 1e-9
+
+    monkeypatch.setitem(simulator._KERNELS, "S", stretch)
+    # H puts weight on the |1> half, which the stretched S then scales; the
+    # X after it keeps the drift, so only a check after every gate names S.
+    c = Circuit(
+        n=2, gates=(Gate("H", (2,)), Gate("S", (2,)), Gate("X", (1,))),
+        roles=("ancilla_zero", "logical_input"),
+    )
+    with pytest.raises(AssertionError, match=r"norm drifted .* after S\(2\)$"):
+        run(c)
+    for scope in ("full", "ancilla_restricted"):
+        with pytest.raises(AssertionError, match=r"after S\(2\)$"):
+            circuits_equivalent(c, c, scope)
 
 
 def test_run_accepts_label_state_or_nothing():
@@ -299,6 +433,98 @@ def test_circuits_equivalent_rejects_shape_mismatches():
     assert not circuits_equivalent(a, b)
     c = Circuit(n=2, gates=(), roles=("ancilla_zero", "logical_input"))
     assert not circuits_equivalent(a, c, "ancilla_restricted")
+
+
+def _per_label_circuits_equivalent(c1, c2, scope, up_to_global_phase):
+    """The loop ``circuits_equivalent`` ran before the gate plan: both
+    circuits simulated afresh, gate by gate, for every input label."""
+    if c1.n != c2.n:
+        return False
+    if scope == "full":
+        labels = [format(i, f"0{c1.n}b") for i in range(2**c1.n)]
+    else:
+        if c1.roles != c2.roles:
+            return False
+        logical = c1.logical_qubits()
+        labels = []
+        for i in range(2 ** len(logical)):
+            bits = format(i, f"0{len(logical)}b") if logical else ""
+            labels.append(logical_label(c1, bits))
+    phase = None
+    for label in labels:
+        a = StateVector.from_label(label).amps
+        _per_gate_run(a, c1.gates)
+        b = StateVector.from_label(label).amps
+        _per_gate_run(b, c2.gates)
+        if up_to_global_phase:
+            if phase is None:
+                phase = simulator._relative_phase(a, b)
+                if phase is None:
+                    return False
+            a = a * phase
+        if np.max(np.abs(a - b)) > 1e-10:
+            return False
+    return True
+
+
+@st.composite
+def _circuit_pairs(draw):
+    """A random circuit and a variant: equal, a global phase i (Y·Z·X), a
+    phase -1 on an ancilla (X·Z·X), a Z on a logical wire, or a circuit
+    one gate away (replaced, deleted or inserted)."""
+    n = draw(st.integers(1, 5))
+    roles = tuple(draw(st.lists(
+        st.sampled_from(("ancilla_zero", "logical_input")),
+        min_size=n, max_size=n,
+    )))
+    kinds = GATE_KINDS if n > 1 else ONE_QUBIT_KINDS
+
+    def gate():
+        kind = draw(st.sampled_from(kinds))
+        if kind in ONE_QUBIT_KINDS:
+            return Gate(kind, (draw(st.integers(1, n)),))
+        a = draw(st.integers(1, n))
+        return Gate(kind, (a, draw(st.integers(1, n).filter(lambda b: b != a))))
+
+    gates = [gate() for _ in range(draw(st.integers(0, 14)))]
+    variant = draw(st.sampled_from(
+        ("equal", "global", "ancilla", "logical_z", "mutant")
+    ))
+    other = list(gates)
+    ancillas = [q for q, r in enumerate(roles, 1) if r == "ancilla_zero"]
+    logical = [q for q, r in enumerate(roles, 1) if r == "logical_input"]
+    if variant == "global":
+        q = draw(st.integers(1, n))
+        other[:0] = [Gate(k, (q,)) for k in ("X", "Z", "Y")]
+    elif variant == "ancilla" and ancillas:
+        q = draw(st.sampled_from(ancillas))
+        other[:0] = [Gate(k, (q,)) for k in ("X", "Z", "X")]
+    elif variant == "logical_z" and logical:
+        other.insert(0, Gate("Z", (draw(st.sampled_from(logical)),)))
+    elif variant == "mutant":
+        at = draw(st.integers(0, len(other)))
+        edit = draw(st.sampled_from(("replace", "delete", "insert")))
+        if edit == "insert" or at == len(other):
+            other.insert(at, gate())
+        elif edit == "delete":
+            del other[at]
+        else:
+            other[at] = gate()
+    return (
+        Circuit(n=n, gates=gates, roles=roles),
+        Circuit(n=n, gates=other, roles=roles),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuit_pairs())
+def test_circuits_equivalent_matches_the_per_label_loop(pair):
+    c1, c2 = pair
+    for scope in ("full", "ancilla_restricted"):
+        for flag in (True, False):
+            want = _per_label_circuits_equivalent(c1, c2, scope, flag)
+            got = circuits_equivalent(c1, c2, scope, up_to_global_phase=flag)
+            assert got == want, (scope, flag)
 
 
 def test_logical_label_places_bits_on_logical_wires(mixed_encoders):
