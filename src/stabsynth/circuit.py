@@ -200,6 +200,11 @@ def _expect(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``false`` parse as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(text: str) -> Circuit:
     """Parse circuit JSON, naming any schema violation."""
     try:
@@ -213,7 +218,7 @@ def from_json(text: str) -> Circuit:
     for key in ("name", "n", "roles", "gates", "notes"):
         _expect(key in doc, f"missing field {key!r}")
     _expect(isinstance(doc["name"], str), "'name' must be a string")
-    _expect(isinstance(doc["n"], int), "'n' must be an integer")
+    _expect(_is_int(doc["n"]), "'n' must be an integer")
     _expect(isinstance(doc["roles"], list), "'roles' must be a list")
     _expect(isinstance(doc["gates"], list), "'gates' must be a list")
     _expect(isinstance(doc["notes"], list), "'notes' must be a list")
@@ -226,18 +231,24 @@ def from_json(text: str) -> Circuit:
         )
         _expect(
             isinstance(entry["q"], list)
-            and all(isinstance(i, int) for i in entry["q"]),
+            and all(_is_int(i) for i in entry["q"]),
             f"gate {idx} field 'q' must be a list of integers",
         )
         try:
             gates.append(Gate(kind=entry["kind"], q=tuple(entry["q"])))
         except ValueError as exc:
             raise ValueError(f"gate {idx}: {exc}") from None
+    entries = doc.get("measurements", [])
+    _expect(isinstance(entries, list), "'measurements' must be a list")
     measurements = []
-    for idx, entry in enumerate(doc.get("measurements", []), start=1):
+    for idx, entry in enumerate(entries, start=1):
         _expect(
             isinstance(entry, dict) and set(entry) == {"q", "bit"},
             f"measurement {idx} must be an object with fields 'q' and 'bit'",
+        )
+        _expect(
+            _is_int(entry["q"]) and _is_int(entry["bit"]),
+            f"measurement {idx} fields 'q' and 'bit' must be integers",
         )
         measurements.append((entry["q"], entry["bit"]))
     for note in doc["notes"]:

@@ -141,6 +141,7 @@ def _pass_retarget(gates, fires):
                 i += 1
                 continue
             j = i
+            m = _support(g)
             while j > 0:
                 prev = out[j - 1]
                 if prev.kind == "H" and prev.q[0] in g.q:
@@ -153,7 +154,7 @@ def _pass_retarget(gates, fires):
                     )
                     changed = True
                     break
-                if gates_commute(prev, g):
+                if not _support(prev) & m or gates_commute(prev, g):
                     out[j - 1], out[j] = g, prev
                     fires.hit("gate_commutation_move")
                     j -= 1
@@ -476,7 +477,11 @@ def _pass_fold(gates, circuit, fires):
 
 
 def _pass_triangles(gates, fires):
-    """Contract CNOT-distribution triples back to two gates."""
+    """Contract CNOT-distribution triples back to two gates.
+
+    The scans step past gates that share no qubit with the gate they
+    must commute with by one mask test, as in :func:`_pass_cancel`.
+    """
     out = list(gates)
     changed = True
     while changed:
@@ -486,12 +491,14 @@ def _pass_triangles(gates, fires):
             if g3.kind != "CX":
                 continue
             a, b = g3.q
+            m3 = _support(g3)
             j = k - 1
             while j >= 0:
                 g2 = out[j]
                 if g2.kind == "CX" and g2.q[0] == a and g2.q[1] != b:
                     c = g2.q[1]
                     want = Gate("CX", (b, c))
+                    mw = _support(want)
                     i = j - 1
                     while i >= 0:
                         g1 = out[i]
@@ -503,12 +510,12 @@ def _pass_triangles(gates, fires):
                             ) + seg2
                             changed = True
                             break
-                        if not gates_commute(g1, want):
+                        if _support(g1) & mw and not gates_commute(g1, want):
                             break
                         i -= 1
                     if changed:
                         break
-                if not gates_commute(g2, g3):
+                if _support(g2) & m3 and not gates_commute(g2, g3):
                     break
                 j -= 1
             if changed:

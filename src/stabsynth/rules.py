@@ -29,12 +29,10 @@ __all__ = [
 
 
 def _unitary(gates, n):
+    """The gates' 2^n x 2^n unitary: one plan run on every basis input."""
     dim = 2 ** n
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    plan = GatePlan(gates, np.empty(dim, dtype=np.complex128))
-    for col in range(dim):
-        u[:, col] = plan.run_basis(col)
-    return u
+    plan = GatePlan(gates, np.empty((dim, dim), dtype=np.complex128))
+    return plan.run_basis(range(dim)).T  # row b of the run is column b
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ reads left-to-right as qubits 1..n.  Each gate kind has its own in-place
 update on the two reshaped halves it mixes: a swap for X and CX, a
 negation for Z and CZ, a factor i for S, ±i with a swap for Y and CY, and
 a butterfly for H.  Gates run through a ``GatePlan``, which looks up each
-gate's update and views once per gate list and buffer, so an input after
-the first costs only the updates.  Every application asserts norm
-preservation to 1e-10.
+gate's update and views once per gate list and buffer.  A plan's buffer
+may hold several states, one per row of shape (B, 2^n): the views are
+sized from the trailing end, so the row axis folds into them and every
+update runs on all B rows at once, each row going through exactly the
+elementwise arithmetic it would alone.  After every gate each row's norm
+is asserted to stay within 1e-10 of 1.  ``circuits_equivalent`` proves
+up to ``BATCH_AMPS`` (2^13) amplitudes of basis inputs per execution.
 
 This module is deliberately independent of the synthesis path wherever it
 serves as an oracle: ``projector_encode`` builds encoded states directly
@@ -57,6 +61,10 @@ __all__ = [
 
 TOL = 1e-10
 
+# At most this many amplitudes per side in one ``circuits_equivalent``
+# execution: B = max(1, BATCH_AMPS >> n) basis inputs per plan run.
+BATCH_AMPS = 1 << 13
+
 _SQ = 1.0 / np.sqrt(2.0)
 
 
@@ -71,7 +79,7 @@ class StateVector:
             amps = np.zeros(2**self.n, dtype=np.complex128)
             amps[0] = 1.0
         else:
-            amps = np.asarray(amps, dtype=np.complex128)
+            amps = np.ascontiguousarray(amps, dtype=np.complex128)
             if amps.shape != (2**self.n,):
                 raise ValueError(f"need {2**self.n} amplitudes for n={self.n}")
         self.amps = amps
@@ -102,19 +110,20 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
-def _halves(amps: np.ndarray, q: tuple[int, ...]):
+def _halves(amps: np.ndarray, q: tuple[int, ...], n: int):
     """Views of the amplitudes whose target bit is 0 and whose target bit is 1.
 
     ``q`` is (qubit,) or (control, target); for a controlled gate both
-    views hold only the amplitudes whose control bit is 1.
+    views hold only the amplitudes whose control bit is 1.  The axes are
+    sized from the trailing end, so a leading row axis folds into the first.
     """
     if len(q) == 1:
-        view = amps.reshape(1 << (q[0] - 1), 2, -1)
+        view = amps.reshape(-1, 2, 1 << (n - q[0]))
         a0, a1 = view[:, 0], view[:, 1]
     else:
         c, t = q
         lo, hi = min(c, t), max(c, t)
-        view = amps.reshape(1 << (lo - 1), 2, 1 << (hi - lo - 1), 2, -1)
+        view = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (n - hi))
         if c < t:
             a0, a1 = view[:, 1, :, 0], view[:, 1, :, 1]
         else:
@@ -162,29 +171,42 @@ _KERNELS = {
 }
 
 
+# Each row's squared norm must stay within (1 ± TOL)².  np.vecdot (numpy
+# 2) sums each row's squares in one call; einsum does the same on numpy 1.
+_ROW_DOTS = getattr(np, "vecdot", None) or functools.partial(np.einsum, "ij,ij->i")
+_NORM2_LO, _NORM2_HI = (1.0 - TOL) ** 2, (1.0 + TOL) ** 2
+
+
 class GatePlan:
     """A gate list compiled against one state buffer.
 
-    Building the plan resolves each gate's kernel and the two half-views
-    it mixes once; gates on the same qubit tuple share their views, and
-    every H shares one scratch buffer.  ``execute`` applies the gates in
-    order to whatever the buffer holds and asserts after every gate that
-    the norm stays within ``TOL`` of 1.  A caller that runs the same
-    gates on many inputs refills the buffer (``run_basis``) and executes
-    the plan again; the views stay valid as long as the buffer lives.
+    The buffer is C-contiguous with 2^n amplitudes on its last axis and
+    holds one state per row: shape (2^n,) or (B, 2^n).  Building the plan
+    resolves each gate's kernel and the two half-views it mixes once;
+    gates on the same qubit tuple share their views, and every H shares
+    one scratch buffer.  ``execute`` applies the gates in order to every
+    row at once and asserts after every gate that each row's norm stays
+    within ``TOL`` of 1.  A caller that runs the same gates on many inputs
+    refills the rows (``run_basis``) and executes the plan again; the
+    views stay valid as long as the buffer lives.
     """
 
-    __slots__ = ("amps", "_steps")
+    __slots__ = ("amps", "_rows", "_steps")
 
     def __init__(self, gates, amps: np.ndarray):
+        if not amps.flags.c_contiguous:
+            raise ValueError("a gate plan needs a C-contiguous buffer")
         self.amps = amps
+        dim = amps.shape[-1]
+        self._rows = amps.reshape(-1, dim)
+        n = dim.bit_length() - 1
         views: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         kept = None
         steps = []
         for gate in gates:
             halves = views.get(gate.q)
             if halves is None:
-                halves = views[gate.q] = _halves(amps, gate.q)
+                halves = views[gate.q] = _halves(amps, gate.q, n)
             if gate.kind == "H":
                 if kept is None:
                     kept = np.empty(amps.size // 2, dtype=amps.dtype)
@@ -193,21 +215,32 @@ class GatePlan:
         self._steps = steps
 
     def execute(self) -> None:
-        """Apply the gates in order to the buffer, in place."""
-        amps = self.amps
+        """Apply the gates in order to every row of the buffer, in place."""
+        pairs = self._rows.view(np.float64)  # each row's re, im interleaved
         for step, gate in self._steps:
             step()
-            if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > TOL:
+            norms2 = _ROW_DOTS(pairs, pairs).tolist()
+            if min(norms2) < _NORM2_LO or max(norms2) > _NORM2_HI:
+                worst = max(norms2, key=lambda x: abs(x - 1.0))
                 raise AssertionError(
-                    f"norm drifted to {float(np.linalg.norm(amps))} after {gate}"
+                    f"norm drifted to {math.sqrt(worst)} after {gate}"
                 )
 
-    def run_basis(self, index: int) -> np.ndarray:
-        """Reset the buffer to basis state ``index``, execute, return it."""
-        self.amps.fill(0.0)
-        self.amps[index] = 1.0
+    def run_basis(self, indices) -> np.ndarray:
+        """Reset row r to basis state ``indices[r]``, execute, return those rows.
+
+        Rows past the last index repeat it, so a short last chunk of
+        inputs runs on the same plan.
+        """
+        rows = self._rows
+        count = len(indices)
+        if not 0 < count <= len(rows):
+            raise ValueError(f"need 1 to {len(rows)} indices, got {count}")
+        indices = list(indices)
+        rows.fill(0.0)
+        rows[range(len(rows)), indices + indices[-1:] * (len(rows) - count)] = 1.0
         self.execute()
-        return self.amps
+        return rows[:count]
 
 
 def apply_gate(state: StateVector, gate: Gate) -> None:
@@ -370,11 +403,13 @@ def circuits_equivalent(
     ``full`` scope runs every basis state; ``ancilla_restricted`` fixes
     ancilla_zero qubits to |0> and sweeps only the logical inputs, which is
     the equivalence the optimizer must preserve.  Each side compiles one
-    ``GatePlan`` over one buffer, and every input resets that buffer to
-    its basis state and executes the plan.  With the global-phase
-    flag the circuits may differ by one phase shared by every input: it
-    is read off the first input and every later input must match under
-    it.  A phase per input would hide a relative phase between inputs,
+    ``GatePlan`` over a buffer of B = max(1, ``BATCH_AMPS`` >> n) rows
+    (never more rows than inputs); each chunk of B inputs resets the rows
+    to its basis states, executes the plan once and is compared row by
+    row, so no buffer exceeds 2^13 amplitudes unless one state does.
+    With the global-phase flag the circuits may differ by one phase shared
+    by every input: it is read off the first input and every later input
+    must match under it.  A phase per input would hide a relative phase between inputs,
     such as a Z on a logical wire.
     """
     if scope not in ("full", "ancilla_restricted"):
@@ -391,19 +426,21 @@ def circuits_equivalent(
             int(logical_label(c1, format(i, f"0{k}b") if k else ""), 2)
             for i in range(2**k)
         ]
-    plan1 = GatePlan(c1.gates, np.empty(2**c1.n, dtype=np.complex128))
-    plan2 = GatePlan(c2.gates, np.empty(2**c2.n, dtype=np.complex128))
+    rows = min(len(inputs), max(1, BATCH_AMPS >> c1.n))
+    plan1 = GatePlan(c1.gates, np.empty((rows, 2**c1.n), dtype=np.complex128))
+    plan2 = GatePlan(c2.gates, np.empty((rows, 2**c2.n), dtype=np.complex128))
     phase = None
-    for index in inputs:
-        a = plan1.run_basis(index)
-        b = plan2.run_basis(index)
+    for start in range(0, len(inputs), rows):
+        chunk = inputs[start:start + rows]
+        a = plan1.run_basis(chunk)
+        b = plan2.run_basis(chunk)
         if up_to_global_phase:
             if phase is None:
-                phase = _relative_phase(a, b)
+                phase = _relative_phase(a[0], b[0])
                 if phase is None:
                     return False
             a = a * phase
-        if np.max(np.abs(a - b)) > TOL:
+        if (np.abs(a - b).max(axis=1) > TOL).any():  # row by row
             return False
     return True
 

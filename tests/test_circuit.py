@@ -1,6 +1,7 @@
 """Circuit containers: validation, serialization round-trips, QASM export."""
 
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -147,6 +148,27 @@ def test_from_json_names_schema_violations():
             '{"name": "x", "n": 1, "roles": ["logical_input"],'
             ' "gates": [{"kind": ["H"], "q": [1]}], "notes": []}'
         )
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": True}, "'n' must be an integer"),
+    ({"n": 1.0}, "'n' must be an integer"),
+    ({"gates": [{"kind": "H", "q": [True]}]}, "gate 1 field 'q'"),
+    ({"gates": [{"kind": "H", "q": [1.0]}]}, "gate 1 field 'q'"),
+    ({"measurements": [{"q": 1, "bit": 1.5}]}, "measurement 1 fields"),
+    ({"measurements": [{"q": True, "bit": False}]}, "measurement 1 fields"),
+    ({"measurements": [{"q": "1", "bit": 0}]}, "measurement 1 fields"),
+    ({"measurements": 5}, "'measurements' must be a list"),
+])
+def test_from_json_rejects_booleans_and_non_integers(doc, message):
+    base = {"name": "x", "n": 1, "roles": ["logical_input"], "gates": [], "notes": []}
+    with pytest.raises(ValueError, match=message):
+        from_json(json.dumps({**base, **doc}))
+    # The same document with plain integers parses.
+    fixed = {"n": 1, "gates": [{"kind": "H", "q": [1]}],
+             "measurements": [{"q": 1, "bit": 1}]}
+    key = next(iter(doc))
+    assert from_json(json.dumps({**base, key: fixed[key]}))
 
 
 def test_qasm_export():

@@ -304,6 +304,23 @@ def test_export_qasm_negative_measurement_bit_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", True),
+    ("gates", [{"kind": "X", "q": [True]}]),
+    ("measurements", [{"q": 1, "bit": 1.5}]),
+    ("measurements", [{"q": True, "bit": False}]),
+])
+def test_export_qasm_rejects_booleans_and_non_integers(capsys, tmp_path, field, value):
+    path = tmp_path / "bad.json"
+    doc = {"name": "m", "n": 1, "roles": ["logical_input"], "gates": [], "notes": []}
+    path.write_text(json.dumps({**doc, field: value}))
+    code, out, err = run_cli(capsys, "export-qasm", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and "must be" in err
+    assert err.count("\n") == 1
+
+
 def test_optimize_failed_proof_exits_2(capsys, tmp_path, monkeypatch):
     # An unsound rewrite pass that drops a gate: the final proof fails.
     monkeypatch.setattr(

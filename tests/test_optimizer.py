@@ -629,3 +629,131 @@ def _reference_bubble_singles(gates):
 def test_bubble_singles_matches_the_swap_loop(n, alphabet, size, seed):
     gates = _random_gates(np.random.default_rng(seed), n, size, alphabet)
     assert optimizer._bubble_singles(gates) == _reference_bubble_singles(gates)
+
+
+# ---------------------------------------------------------------------------
+# retarget and triangle passes against their copies that test every gate
+
+
+def _reference_retarget(gates, fires):
+    """``_pass_retarget`` calling ``gates_commute`` on every gate it passes."""
+    out = []
+    for g in gates:
+        if g.kind == "CY":
+            out += fires.apply("cy_to_cz_cx_s", *g.q)
+        else:
+            out.append(g)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(out):
+            g = out[i]
+            if g.kind != "CZ":
+                i += 1
+                continue
+            j = i
+            while j > 0:
+                prev = out[j - 1]
+                if prev.kind == "H" and prev.q[0] in g.q:
+                    leg = prev.q[0]
+                    other = g.q[0] if g.q[1] == leg else g.q[1]
+                    if g.q[1] == leg:
+                        fires.hit("cz_control_target_swap")
+                    out[j - 1:j + 1] = fires.apply(
+                        "cz_from_cx_conjugation", leg, other
+                    )
+                    changed = True
+                    break
+                if optimizer.gates_commute(prev, g):
+                    out[j - 1], out[j] = g, prev
+                    fires.hit("gate_commutation_move")
+                    j -= 1
+                    continue
+                break
+            i += 1
+    expanded = []
+    for g in out:
+        if g.kind == "CZ":
+            expanded += fires.apply("cz_via_hadamards", *g.q)
+        else:
+            expanded.append(g)
+    return expanded
+
+
+def _reference_triangles(gates, fires):
+    """``_pass_triangles`` calling ``gates_commute`` on every gate it passes."""
+    out = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(out)):
+            g3 = out[k]
+            if g3.kind != "CX":
+                continue
+            a, b = g3.q
+            j = k - 1
+            while j >= 0:
+                g2 = out[j]
+                if g2.kind == "CX" and g2.q[0] == a and g2.q[1] != b:
+                    c = g2.q[1]
+                    want = Gate("CX", (b, c))
+                    i = j - 1
+                    while i >= 0:
+                        g1 = out[i]
+                        if g1 == want:
+                            out[i:k + 1] = out[i + 1:j] + fires.apply(
+                                "triangle_contraction", a, b, c
+                            ) + out[j + 1:k]
+                            changed = True
+                            break
+                        if not optimizer.gates_commute(g1, want):
+                            break
+                        i -= 1
+                    if changed:
+                        break
+                if not optimizer.gates_commute(g2, g3):
+                    break
+                j -= 1
+            if changed:
+                break
+    return out
+
+
+def _run_pass(fn, gates):
+    fires = optimizer._Fires()
+    return fn(gates, fires), dict(fires)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 8), st.integers(0, 120), st.integers(0, 2**32 - 1),
+)
+def test_retarget_and_triangles_match_their_every_gate_copies(n, size, seed):
+    gates = _random_gates(np.random.default_rng(seed), n, size, _ALPHABETS[0])
+    for fn, reference in (
+        (optimizer._pass_retarget, _reference_retarget),
+        (optimizer._pass_triangles, _reference_triangles),
+    ):
+        assert _run_pass(fn, gates) == _run_pass(reference, gates)
+    # Triangles fire mostly on CX-only circuits.
+    cx_only = _random_gates(np.random.default_rng(seed), n, size, ("CX",))
+    got = _run_pass(optimizer._pass_triangles, cx_only)
+    assert got == _run_pass(_reference_triangles, cx_only)
+
+
+def test_retarget_and_triangles_test_commutation_only_on_shared_qubits(
+    monkeypatch,
+):
+    commute = optimizer.gates_commute
+
+    def shared_only(a, b):
+        assert set(a.q) & set(b.q), (a, b)
+        return commute(a, b)
+
+    monkeypatch.setattr(optimizer, "gates_commute", shared_only)
+    rng = np.random.default_rng(3)
+    for alphabet in (_ALPHABETS[0], ("CX",)):
+        gates = _random_gates(rng, 8, 160, alphabet)
+        fires = optimizer._Fires()
+        optimizer._pass_triangles(optimizer._pass_retarget(gates, fires), fires)

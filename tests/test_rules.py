@@ -16,6 +16,32 @@ def test_registry_holds_verified_rules():
         r.verify()  # exact unitary identity, no tolerance slack
 
 
+def _per_column_unitary(gates, n):
+    """The unitary as it was built before: one state per column, gate by gate."""
+    u = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for col in range(2**n):
+        state = StateVector(n)
+        state.amps[0], state.amps[col] = 0.0, 1.0
+        for gate in gates:
+            apply_gate(state, gate)
+        u[:, col] = state.amps
+    return u
+
+
+def test_unitary_is_bit_identical_to_the_per_column_loop():
+    # Every registered rule's two sides, on its arity and on three qubits
+    # (the commutation check's size), compared as int64 bit patterns.
+    for r in REGISTRY.values():
+        for gates in (r.pattern, r.replacement):
+            for n in {r.arity, 3}:
+                got = rules._unitary(gates, n)
+                want = _per_column_unitary(gates, n)
+                assert got.shape == want.shape
+                assert np.array_equal(
+                    np.ascontiguousarray(got).view(np.int64), want.view(np.int64)
+                ), (r.name, n)
+
+
 def test_lookup():
     assert rule("triangle_contraction").arity == 3
     with pytest.raises(KeyError, match="no rewrite rule named"):

@@ -1,5 +1,7 @@
 """Dense statevector semantics: gates, Pauli action, comparisons, oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,11 +203,8 @@ def _per_gate_run(amps, gates):
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-10
 
 
-@st.composite
-def _gates_and_start(draw):
-    """1-10 qubits, gates of every kind on a few qubit tuples used again
-    and again, and a basis or a random start state."""
-    n = draw(st.integers(1, 10))
+def _draw_gates(draw, n):
+    """Gates of every kind on a few qubit tuples used again and again."""
     qubit = st.integers(1, n)
     singles = draw(st.lists(qubit.map(lambda q: (q,)), min_size=1, max_size=3))
     pairs = []
@@ -217,6 +216,11 @@ def _gates_and_start(draw):
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
         pool = singles if kind in ONE_QUBIT_KINDS else pairs
         gates.append(Gate(kind, draw(st.sampled_from(pool))))
+    return gates
+
+
+def _draw_start(draw, n):
+    """A basis state or a random unit state on n qubits."""
     if draw(st.booleans()):
         start = np.zeros(2**n, dtype=np.complex128)
         start[draw(st.integers(0, 2**n - 1))] = 1.0
@@ -224,7 +228,24 @@ def _gates_and_start(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         start = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         start /= np.linalg.norm(start)
-    return n, gates, start
+    return start
+
+
+@st.composite
+def _gates_and_start(draw):
+    """1-10 qubits, gates of every kind on a few qubit tuples used again
+    and again, and a basis or a random start state."""
+    n = draw(st.integers(1, 10))
+    return n, _draw_gates(draw, n), _draw_start(draw, n)
+
+
+@st.composite
+def _gates_and_rows(draw):
+    """As ``_gates_and_start``, with 1-8 start states, one per row."""
+    n = draw(st.integers(1, 10))
+    gates = _draw_gates(draw, n)
+    rows = [_draw_start(draw, n) for _ in range(draw(st.integers(1, 8)))]
+    return n, gates, np.array(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,12 +267,27 @@ def test_gate_plan_is_bit_identical_to_the_per_gate_loop(case):
 
 def test_gate_plan_runs_again_from_any_basis_state():
     gates = [Gate("H", (1,)), Gate("CX", (1, 3)), Gate("S", (3,)), Gate("H", (1,))]
-    plan = GatePlan(gates, np.empty(8, dtype=np.complex128))
+
+    def want(index):
+        amps = np.zeros(8, dtype=np.complex128)
+        amps[index] = 1.0
+        _per_gate_run(amps, gates)
+        return amps
+
+    plan = GatePlan(gates, np.empty(8, dtype=np.complex128))  # one row
     for index in (5, 0, 5, 3):
-        want = np.zeros(8, dtype=np.complex128)
-        want[index] = 1.0
-        _per_gate_run(want, gates)
-        assert _same_bits(plan.run_basis(index), want)
+        assert _same_bits(plan.run_basis([index])[0], want(index))
+    batched = GatePlan(gates, np.empty((3, 8), dtype=np.complex128))
+    for chunk in ([5, 0, 5], [3, 6], [7]):  # short chunks pad with their last
+        got = batched.run_basis(chunk)
+        assert len(got) == len(chunk)
+        for row, index in zip(got, chunk):
+            assert _same_bits(row, want(index))
+    for bad in ([], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="need 1 to 3 indices"):
+            batched.run_basis(bad)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        GatePlan(gates, np.empty((8, 2), dtype=np.complex128).T)
 
 
 def test_norm_drift_is_caught_by_run_and_circuits_equivalent(monkeypatch):
@@ -270,6 +306,85 @@ def test_norm_drift_is_caught_by_run_and_circuits_equivalent(monkeypatch):
     for scope in ("full", "ancilla_restricted"):
         with pytest.raises(AssertionError, match=r"after S\(2\)$"):
             circuits_equivalent(c, c, scope)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gates_and_rows())
+def test_batched_plan_rows_are_bit_identical_to_the_per_gate_loop(case):
+    n, gates, starts = case
+    plan = GatePlan(gates, starts.copy())
+    plan.execute()
+    for row, start in zip(plan.amps, starts):
+        want = start.copy()
+        _per_gate_run(want, gates)
+        assert _same_bits(row, want)
+
+
+def _stretch(a0, a1):
+    a1 *= 1 + 1e-9
+
+
+def _tilt(a0, a1):
+    # Shrinks the 0-half as much as it stretches the 1-half: a |0> row and
+    # a |1> row drift apart while their summed squared norm stays 2.
+    a0 *= 1 - 1e-9
+    a1 *= 1 + 1e-9
+
+
+@pytest.mark.parametrize("kernel", [_stretch, _tilt])
+def test_norm_drift_in_a_later_row_only_is_caught(monkeypatch, kernel):
+    monkeypatch.setitem(simulator._KERNELS, "S", kernel)
+    # Qubit 2 is the one logical wire, so its bit is 1 only in the last of
+    # the two inputs; the stretched S moves that row's norm and no other.
+    c = Circuit(
+        n=2, gates=(Gate("S", (2,)), Gate("X", (1,))),
+        roles=("ancilla_zero", "logical_input"),
+    )
+    plan = GatePlan(c.gates, np.empty((2, 4), dtype=np.complex128))
+    with pytest.raises(AssertionError, match=r"norm drifted .* after S\(2\)$"):
+        plan.run_basis([0, 1])
+    with pytest.raises(AssertionError, match=r"norm drifted .* after S\(2\)$"):
+        circuits_equivalent(c, c)
+    if kernel is _stretch:
+        plan.run_basis([0, 0])  # no weight where qubit 2 is 1
+
+
+def test_circuits_equivalent_runs_inputs_in_chunks_of_the_cap(monkeypatch):
+    shapes = []
+    run_basis = GatePlan.run_basis
+
+    def recording(self, indices):
+        shapes.append((len(indices), self.amps.shape))
+        return run_basis(self, indices)
+
+    monkeypatch.setattr(GatePlan, "run_basis", recording)
+    c = Circuit(
+        n=3, gates=(Gate("H", (1,)), Gate("CX", (1, 2))),
+        roles=("logical_input",) * 3,
+    )
+    assert circuits_equivalent(c, c, "full")
+    assert shapes == [(8, (8, 8))] * 2  # never more rows than inputs
+    for n, k, rows in ((12, 2, 2), (13, 1, 1)):  # at most 2^13 amplitudes
+        shapes.clear()
+        wide = Circuit(
+            n=n, gates=(Gate("H", (1,)),),
+            roles=("ancilla_zero",) * (n - k) + ("logical_input",) * k,
+        )
+        assert circuits_equivalent(wide, wide)
+        assert shapes == [(rows, (rows, 2**n))] * (2 * 2**k // rows)
+    shapes.clear()
+    monkeypatch.setattr(simulator, "BATCH_AMPS", 3 << 3)
+    assert circuits_equivalent(c, c, "full")
+    assert shapes == [(3, (3, 8))] * 4 + [(2, (3, 8))] * 2  # a short last chunk
+
+
+def test_a_state_built_from_a_strided_array_runs_gates():
+    # Gate plans need a C-contiguous buffer; StateVector provides one.
+    big = np.zeros(8, dtype=np.complex128)
+    big[0] = 1.0
+    state = StateVector(2, big[::2])
+    apply_gate(state, Gate("X", (1,)))
+    assert np.array_equal(state.amps, amps_of("10", 2).amps)
 
 
 def test_run_accepts_label_state_or_nothing():
@@ -516,15 +631,29 @@ def _circuit_pairs(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(_circuit_pairs())
-def test_circuits_equivalent_matches_the_per_label_loop(pair):
-    c1, c2 = pair
+def _assert_matches_the_per_label_loop(c1, c2):
     for scope in ("full", "ancilla_restricted"):
         for flag in (True, False):
             want = _per_label_circuits_equivalent(c1, c2, scope, flag)
             got = circuits_equivalent(c1, c2, scope, up_to_global_phase=flag)
             assert got == want, (scope, flag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuit_pairs())
+def test_circuits_equivalent_matches_the_per_label_loop(pair):
+    _assert_matches_the_per_label_loop(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuit_pairs(), st.sampled_from((1, 3, 5)))
+def test_circuits_equivalent_matches_the_per_label_loop_in_short_chunks(
+    pair, rows
+):
+    # B = rows inputs per execution: several chunks, the last one short.
+    c1, c2 = pair
+    with mock.patch.object(simulator, "BATCH_AMPS", rows << c1.n):
+        _assert_matches_the_per_label_loop(c1, c2)
 
 
 def test_logical_label_places_bits_on_logical_wires(mixed_encoders):
