@@ -13,7 +13,7 @@ package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Gate",
@@ -65,6 +65,7 @@ class Gate:
 
     kind: str
     q: tuple[int, ...]
+    support: int = field(repr=False)  # bit q for each qubit q
 
     def __new__(cls, kind: str, q):
         q = tuple(map(int, q))
@@ -78,6 +79,7 @@ class Gate:
             gate = object.__new__(cls)
             object.__setattr__(gate, "kind", kind)
             object.__setattr__(gate, "q", q)
+            object.__setattr__(gate, "support", sum(1 << i for i in q))
             _GATES[key] = gate
         return gate
 

@@ -122,8 +122,32 @@ def _pass_strip(gates, circuit, fires):
     return kept
 
 
+def _walk(gates, g, j, step, stop=None):
+    """First index from ``j``, moving by ``step`` (±1), that stops ``g``.
+
+    A gate stops the walk if it is ``stop`` or ``g`` does not commute with
+    it; a gate that shares no qubit with ``g`` commutes, so one mask test
+    steps past it before any ``gates_commute`` call.  Returns -1 or
+    ``len(gates)`` when the walk runs off the list.
+    """
+    end = len(gates) if step > 0 else -1
+    m = g.support
+    while j != end:
+        h = gates[j]
+        if h is stop or h.support & m and not gates_commute(g, h):
+            return j
+        j += step
+    return end
+
+
 def _pass_retarget(gates, fires):
-    """Expand CY gates and eliminate CZ gates in favour of CX and H."""
+    """Expand CY gates and eliminate CZ gates in favour of CX and H.
+
+    Each CZ walks left (:func:`_walk`) past the gates it commutes with and
+    merges into CX if it stops at a Hadamard on one of its qubits.  Sweeps
+    repeat until one merges nothing; a later sweep may move a CZ again,
+    and every move counts as one ``gate_commutation_move``.
+    """
     out = []
     for g in gates:
         if g.kind == "CY":
@@ -131,36 +155,26 @@ def _pass_retarget(gates, fires):
         else:
             out.append(g)
 
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(out):
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(out)):
             g = out[i]
             if g.kind != "CZ":
-                i += 1
                 continue
-            j = i
-            m = _support(g)
-            while j > 0:
-                prev = out[j - 1]
-                if prev.kind == "H" and prev.q[0] in g.q:
-                    leg = prev.q[0]
-                    other = g.q[0] if g.q[1] == leg else g.q[1]
-                    if g.q[1] == leg:
-                        fires.hit("cz_control_target_swap")
-                    out[j - 1:j + 1] = fires.apply(
-                        "cz_from_cx_conjugation", leg, other
-                    )
-                    changed = True
-                    break
-                if not _support(prev) & m or gates_commute(prev, g):
-                    out[j - 1], out[j] = g, prev
-                    fires.hit("gate_commutation_move")
-                    j -= 1
-                    continue
-                break
-            i += 1
+            j = _walk(out, g, i - 1, -1)
+            if j + 1 < i:
+                out[j + 1:i + 1] = [g, *out[j + 1:i]]
+                fires.hit("gate_commutation_move", i - j - 1)
+            if j >= 0 and out[j].kind == "H":  # it shares a qubit with g
+                leg = out[j].q[0]
+                other = g.q[0] if g.q[1] == leg else g.q[1]
+                if g.q[1] == leg:
+                    fires.hit("cz_control_target_swap")
+                out[j:j + 2] = fires.apply(
+                    "cz_from_cx_conjugation", leg, other
+                )
+                merged = True
 
     # Any CZ still present cannot reach a Hadamard: expand it with its own.
     expanded = []
@@ -194,40 +208,25 @@ def _resume(reach: list[int], i: int) -> int:
     return p
 
 
-def _support(g: Gate) -> int:
-    """Bit mask of the qubits ``g`` acts on."""
-    return 1 << g.q[0] | 1 << g.q[-1]
-
-
 def _pass_cancel(gates, fires):
     """Cancel equal involutive pairs and merge S pairs, modulo commuters.
 
-    Each position scans right for its partner through gates it commutes
-    with; a gate that shares no qubit with it commutes and differs, so a
-    mask test steps past it.  The first position whose scan finds a
-    partner fires, and the scan resumes (:func:`_resume`) where a rescan
-    from position 0 would first see a difference, so the firings are the
-    same as that rescan's.
+    Each position walks right (:func:`_walk`) for its partner.  The first
+    position whose walk finds a partner fires, and the scan resumes
+    (:func:`_resume`) where a rescan from position 0 would first see a
+    difference, so the firings are the same as that rescan's.
     """
     out = list(gates)
-    masks = [_support(g) for g in out]
     reach: list[int] = []
     i = 0
     while i < len(out):
         g = out[i]
         j = i
         if g.kind in _PAIR_RULE:
-            m = masks[i]
-            j += 1
-            while j < len(out) and (
-                not masks[j] & m or (out[j] != g and gates_commute(g, out[j]))
-            ):
-                j += 1
-            if j < len(out) and out[j] == g:
-                del out[j], masks[j]
-                merged = fires.apply(_PAIR_RULE[g.kind], *g.q)
-                out[i:i + 1] = merged
-                masks[i:i + 1] = [_support(h) for h in merged]
+            j = _walk(out, g, i + 1, 1, stop=g)
+            if j < len(out) and out[j] is g:
+                del out[j]
+                out[i:i + 1] = fires.apply(_PAIR_RULE[g.kind], *g.q)
                 i = _resume(reach, i)
                 continue
         reach.append(j)
@@ -240,12 +239,10 @@ def _pass_collect_frame(gates, fires):
 
     Returns (remaining gates, frame gates).  The frame is reported per
     qubit as the net power of S — S, Z, or Z then S — in qubit order.
-    The first S or Z that commutes with every later gate moves, and the
-    scan steps past gates on other qubits and resumes as in
-    :func:`_pass_cancel`.
+    The first S or Z whose walk right (:func:`_walk`) runs off the end
+    moves, and the scan resumes as in :func:`_pass_cancel`.
     """
     out = list(gates)
-    masks = [_support(g) for g in out]
     powers: dict[int, int] = {}
     reach: list[int] = []
     i = 0
@@ -253,19 +250,14 @@ def _pass_collect_frame(gates, fires):
         g = out[i]
         j = i
         if g.kind in ("S", "Z"):
-            m = masks[i]
-            j += 1
-            while j < len(out) and (
-                not masks[j] & m or gates_commute(g, out[j])
-            ):
-                j += 1
+            j = _walk(out, g, i + 1, 1)
             if j == len(out):
                 powers[g.q[0]] = (
                     powers.get(g.q[0], 0) + (1 if g.kind == "S" else 2)
                 ) % 4
                 if i + 1 < len(out):
                     fires.hit("gate_commutation_move", len(out) - i - 1)
-                del out[i], masks[i]
+                del out[i]
                 i = _resume(reach, i)
                 continue
         reach.append(j)
@@ -479,47 +471,34 @@ def _pass_fold(gates, circuit, fires):
 def _pass_triangles(gates, fires):
     """Contract CNOT-distribution triples back to two gates.
 
-    The scans step past gates that share no qubit with the gate they
-    must commute with by one mask test, as in :func:`_pass_cancel`.
+    For each CX(a, b), one walk left (:func:`_walk`) bounds the gates it
+    commutes with; among them, from the nearest, each CX(a, c) walks left
+    once more for a CX(b, c) it meets first.  The first triple found
+    contracts.  Every scan reads only gates to its left, so the scans
+    before the first changed position would find nothing again: the pass
+    resumes there, and fires exactly as a rescan from 0 would.
     """
     out = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(out)):
-            g3 = out[k]
-            if g3.kind != "CX":
-                continue
+    k = 0
+    while k < len(out):
+        g3 = out[k]
+        if g3.kind == "CX":
             a, b = g3.q
-            m3 = _support(g3)
-            j = k - 1
-            while j >= 0:
+            blocked = _walk(out, g3, k - 1, -1)
+            for j in range(k - 1, blocked, -1):
                 g2 = out[j]
-                if g2.kind == "CX" and g2.q[0] == a and g2.q[1] != b:
-                    c = g2.q[1]
-                    want = Gate("CX", (b, c))
-                    mw = _support(want)
-                    i = j - 1
-                    while i >= 0:
-                        g1 = out[i]
-                        if g1 == want:
-                            seg1 = out[i + 1:j]
-                            seg2 = out[j + 1:k]
-                            out[i:k + 1] = seg1 + fires.apply(
-                                "triangle_contraction", a, b, c
-                            ) + seg2
-                            changed = True
-                            break
-                        if _support(g1) & mw and not gates_commute(g1, want):
-                            break
-                        i -= 1
-                    if changed:
-                        break
-                if _support(g2) & m3 and not gates_commute(g2, g3):
+                if g2.kind != "CX" or g2.q[0] != a or g2.q[1] == b:
+                    continue
+                c = g2.q[1]
+                want = Gate("CX", (b, c))
+                i = _walk(out, want, j - 1, -1, stop=want)
+                if i >= 0 and out[i] is want:
+                    out[i:k + 1] = out[i + 1:j] + fires.apply(
+                        "triangle_contraction", a, b, c
+                    ) + out[j + 1:k]
+                    k = i - 1  # the step below resumes at i
                     break
-                j -= 1
-            if changed:
-                break
+        k += 1
     return out
 
 

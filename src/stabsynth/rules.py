@@ -217,8 +217,7 @@ def _action_masks(gate: Gate) -> tuple[int, int, int, int]:
     an X, Y, CX or CY target is X-like or Y-like; H is none of the three.
     Cached per gate: at most 8·n² gates exist on qubits 1..n.
     """
-    kind, bits = gate.kind, [1 << q for q in gate.q]
-    support = sum(bits)
+    kind, bits, support = gate.kind, [1 << q for q in gate.q], gate.support
     if kind in ("S", "Z", "CZ"):
         diagonal = support
     elif kind in ("CX", "CY"):

@@ -186,9 +186,10 @@ class GatePlan:
     gates on the same qubit tuple share their views, and every H shares
     one scratch buffer.  ``execute`` applies the gates in order to every
     row at once and asserts after every gate that each row's norm stays
-    within ``TOL`` of 1.  A caller that runs the same gates on many inputs
-    refills the rows (``run_basis``) and executes the plan again; the
-    views stay valid as long as the buffer lives.
+    within ``TOL`` of 1; a NaN or infinite norm fails too.  A caller that
+    runs the same gates on many inputs refills the rows (``run_basis``)
+    and executes the plan again; the views stay valid as long as the
+    buffer lives.
     """
 
     __slots__ = ("amps", "_rows", "_steps")
@@ -220,8 +221,11 @@ class GatePlan:
         for step, gate in self._steps:
             step()
             norms2 = _ROW_DOTS(pairs, pairs).tolist()
-            if min(norms2) < _NORM2_LO or max(norms2) > _NORM2_HI:
-                worst = max(norms2, key=lambda x: abs(x - 1.0))
+            # min and max pass over a NaN that is not first; sum does not.
+            if (min(norms2) < _NORM2_LO or max(norms2) > _NORM2_HI
+                    or not math.isfinite(sum(norms2))):
+                worst = max(norms2, key=lambda x: abs(x - 1.0)
+                            if math.isfinite(x) else math.inf)
                 raise AssertionError(
                     f"norm drifted to {math.sqrt(worst)} after {gate}"
                 )

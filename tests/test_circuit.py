@@ -1,13 +1,17 @@
 """Circuit containers: validation, serialization round-trips, QASM export."""
 
 import copy
+import itertools
 import json
 import pickle
 
 import numpy as np
 import pytest
 
+from stabsynth import rules
 from stabsynth.circuit import (
+    ONE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
     Circuit,
     Gate,
     from_json,
@@ -61,7 +65,16 @@ def test_gate_copy_and_pickle_keep_value_and_identity():
         copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g)),
         pickle.loads(pickle.dumps(g, protocol=0)), Gate(g.kind, g.q),
     ):
-        assert again == g and again is g
+        assert again == g and again is g and again.support == 1 << 3 | 1 << 7
+    # Bit q is set for each qubit q, and the commutation test reads it.
+    gates = [Gate(k, (q,)) for k in ONE_QUBIT_KINDS for q in range(1, 5)]
+    gates += [
+        Gate(k, q) for k in TWO_QUBIT_KINDS
+        for q in itertools.permutations(range(1, 5), 2)
+    ]
+    for gate in gates:
+        assert [q for q in range(8) if gate.support >> q & 1] == sorted(gate.q)
+        assert gate.support == rules._action_masks(gate)[0]
     # Interning makes identity equality by value, so no field is compared.
     assert Gate.__eq__ is object.__eq__ and Gate.__hash__ is object.__hash__
 

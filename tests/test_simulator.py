@@ -1,5 +1,6 @@
 """Dense statevector semantics: gates, Pauli action, comparisons, oracle."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -308,16 +309,25 @@ def test_norm_drift_is_caught_by_run_and_circuits_equivalent(monkeypatch):
             circuits_equivalent(c, c, scope)
 
 
+# Both forms of the norm check's row dots: np.vecdot on numpy 2 and the
+# einsum that stands in for it on numpy 1.
+_ROW_DOT_FORMS = (
+    simulator._ROW_DOTS, functools.partial(np.einsum, "ij,ij->i"),
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_gates_and_rows())
 def test_batched_plan_rows_are_bit_identical_to_the_per_gate_loop(case):
     n, gates, starts = case
-    plan = GatePlan(gates, starts.copy())
-    plan.execute()
-    for row, start in zip(plan.amps, starts):
-        want = start.copy()
-        _per_gate_run(want, gates)
-        assert _same_bits(row, want)
+    for row_dots in _ROW_DOT_FORMS:
+        plan = GatePlan(gates, starts.copy())
+        with mock.patch.object(simulator, "_ROW_DOTS", row_dots):
+            plan.execute()
+        for row, start in zip(plan.amps, starts):
+            want = start.copy()
+            _per_gate_run(want, gates)
+            assert _same_bits(row, want)
 
 
 def _stretch(a0, a1):
@@ -341,12 +351,37 @@ def test_norm_drift_in_a_later_row_only_is_caught(monkeypatch, kernel):
         roles=("ancilla_zero", "logical_input"),
     )
     plan = GatePlan(c.gates, np.empty((2, 4), dtype=np.complex128))
-    with pytest.raises(AssertionError, match=r"norm drifted .* after S\(2\)$"):
-        plan.run_basis([0, 1])
-    with pytest.raises(AssertionError, match=r"norm drifted .* after S\(2\)$"):
-        circuits_equivalent(c, c)
-    if kernel is _stretch:
-        plan.run_basis([0, 0])  # no weight where qubit 2 is 1
+    drifted = r"norm drifted .* after S\(2\)$"
+    for row_dots in _ROW_DOT_FORMS:
+        monkeypatch.setattr(simulator, "_ROW_DOTS", row_dots)
+        with pytest.raises(AssertionError, match=drifted):
+            plan.run_basis([0, 1])
+        with pytest.raises(AssertionError, match=drifted):
+            circuits_equivalent(c, c)
+        if kernel is _stretch:
+            plan.run_basis([0, 0])  # no weight where qubit 2 is 1
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[np.nan, 0, 0, 0]], id="nan"),
+    pytest.param([[1, 0, 0, 0], [np.nan, 0, 0, 0]], id="nan-in-row-1-only"),
+    pytest.param([[np.inf, 0, 0, 0]], id="inf-made-nan-by-h"),
+])
+def test_non_finite_rows_fail_the_norm_check(rows):
+    # Every comparison with NaN is false, so bounds on the least and the
+    # greatest norm alone let NaN through.  H turns inf into inf + nan·i.
+    c = Circuit(
+        n=2, gates=(Gate("H", (1,)), Gate("X", (2,))),
+        roles=("logical_input",) * 2,
+    )
+    starts = np.array(rows, dtype=np.complex128)
+    drifted = r"norm drifted to nan after H\(1\)$"
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(AssertionError, match=drifted):
+            GatePlan(c.gates, starts).execute()
+        if len(starts) == 1:
+            with pytest.raises(AssertionError, match=drifted):
+                run(c, StateVector(2, starts[0]))
 
 
 def test_circuits_equivalent_runs_inputs_in_chunks_of_the_cap(monkeypatch):
