@@ -12,8 +12,14 @@ export-qasm  render a circuit JSON file as OpenQASM 2.0
 Codes are named either by a ``.stab`` file path or by a shipped name
 (``eight_qubit``, ``steane``, ``thirteen_qubit``).  Exit codes: 0 on
 success, 1 when a verification fails, 2 on input errors (including
-unknown flags).  All commands are deterministic: identical inputs
-produce byte-identical outputs.
+unknown flags, and circuits or codes past the dense simulator's qubit
+limit).  All commands are deterministic: identical inputs produce
+byte-identical outputs.
+
+Importing this module loads neither numpy nor the dense simulator:
+``verify`` and ``simulate`` import them where they first need amplitudes,
+and ``optimize`` for its final proof, so ``synth``, ``syndromes``,
+``export-qasm``, ``--help`` and input errors start without them.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import library
 from .circuit import Circuit, Gate, from_json, to_json, to_qasm
 from .gf2 import solve as gf2_solve
@@ -34,14 +38,6 @@ from .linear import DEFAULT_SEARCH_BUDGET
 from .encoder import require_unsigned, synthesize_encoder
 from .optimizer import OptimizationError, optimize
 from .pauli import PauliString
-from .simulator import (
-    TOL,
-    apply_pauli,
-    logical_label,
-    pauli_amplitudes,
-    projector_encode,
-    run,
-)
 from .syndrome import build_syndrome_table, format_table, syndrome_of
 
 __all__ = ["main"]
@@ -193,6 +189,10 @@ def _compare_inputs(psi, phi, inputs, allow_frame):
     signs within TOL and cannot fail a match: the answer is the full
     comparison's, at about 2·2^r amplitudes per input instead of 2^n.
     """
+    import numpy as np
+
+    from .simulator import TOL, pauli_amplitudes
+
     psi_read = np.abs(psi) >= TOL / 2
     psi_at = np.flatnonzero(psi_read)
     phi_at = np.flatnonzero(np.abs(phi.amps) >= TOL / 2)
@@ -268,17 +268,22 @@ def _cmd_verify(args) -> int:
             f"but {code.name} has k={sf.k}"
         )
 
+    from .simulator import DenseLimitError, logical_label, projector_encode, run
+
     n, k = sf.n, sf.k
-    psi = run(circuit, logical_label(circuit, "0" * k)).amps
-    phi = projector_encode(sf, "0" * k)
+    try:
+        psi = run(circuit, logical_label(circuit, "0" * k)).amps
+        phi = projector_encode(sf, "0" * k)
+    except DenseLimitError as exc:
+        raise _InputError(str(exc)) from exc
     inputs = _logical_inputs(circuit, sf)
     consistent, matched, equations, quiet_signs = _compare_inputs(
         psi, phi, inputs, args.allow_frame
     )
     frame = 0
     if args.allow_frame and consistent:
-        rows = np.flatnonzero(equations[0]).tolist()
-        flipped = np.flatnonzero(equations[1]).tolist()
+        rows = equations[0].nonzero()[0].tolist()
+        flipped = equations[1].nonzero()[0].tolist()
         solved = gf2_solve(rows + flipped, [0] * len(rows) + [1] * len(flipped))
         consistent = solved is not None
         frame = solved or 0
@@ -334,7 +339,12 @@ def _cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    state = run(encoder, logical_label(encoder, bits))
+    from .simulator import DenseLimitError, apply_pauli, logical_label, run
+
+    try:
+        state = run(encoder, logical_label(encoder, bits))
+    except DenseLimitError as exc:
+        raise _InputError(str(exc)) from exc
     error = None
     if args.error:
         m = _ERROR_SPEC.match(args.error)

@@ -130,6 +130,12 @@ def min_weight_solution(
         return []
     ncols = len(columns)
     bound = ncols if max_weight is None else min(max_weight, ncols)
+    # A nonzero target needs at least one column, and one column must be
+    # the target itself: the first such column is the smallest answer.
+    if bound < 1:
+        return None
+    if bound == 1:
+        return next(([i] for i, col in enumerate(columns) if col == target), None)
     # Row i is column i over the bit of index i: elimination XORs the
     # index bits along, and pivots key only the column part.
     pivots: dict[int, int] = {}

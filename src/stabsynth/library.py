@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .circuit import Circuit, from_json
@@ -194,6 +193,8 @@ def _data_text(subdir: str, filename: str) -> str:
         candidate = override / filename
         if candidate.exists():
             return candidate.read_text()
+    from importlib import resources  # only a shipped-fixture read needs it
+
     ref = resources.files(__package__) / subdir / filename
     if not ref.is_file():
         raise FileNotFoundError(f"no fixture {subdir}/{filename}")

@@ -53,7 +53,6 @@ from .linear import (
     search_ops,
 )
 from .rules import REGISTRY, gates_commute
-from .simulator import circuits_equivalent
 
 __all__ = [
     "OptimizationError",
@@ -751,7 +750,9 @@ def optimize(
     diagonal Pauli frame is split into the
     report (and recorded in the circuit notes), and the circuit composed
     with its frame is re-simulated against the input on every ancilla-
-    restricted basis state.  A mismatch raises ``OptimizationError``.
+    restricted basis state.  A mismatch raises ``OptimizationError``, and
+    a circuit past the dense simulator's qubit limit raises
+    ``simulator.DenseLimitError`` (a ``ValueError``) at that proof.
     An unknown level, a negative ``search_budget``, or a witness pair
     that is not a CX on qubits 1..n raises ``ValueError`` at every level,
     before any pass runs.  Each entry of
@@ -810,6 +811,8 @@ def optimize(
         result.n, result.gates + frame, result.roles, name=result.name,
     )
     bare_input = Circuit(circuit.n, circuit.gates, circuit.roles)
+    from .simulator import circuits_equivalent  # numpy, for this proof only
+
     if not circuits_equivalent(
         with_frame, bare_input, scope="ancilla_restricted",
         up_to_global_phase=False,

@@ -1,12 +1,19 @@
-"""Rewrite rules for Clifford circuits, brute-force verified at registration.
+"""Rewrite rules for Clifford circuits, verified exactly at registration.
 
 Every rule is an exact unitary identity on its local window — no global
 phase slack — and a rule carrying ``zero_slots`` claims the identity only
 on the subspace where those qubits are |0>.  ``register`` checks each
-claim by building both sides' unitaries on the rule's (at most three)
-qubits, so an unsound rule cannot enter the registry.  The same module
-hosts the syntactic commutation test used to slide gates past each other;
-it too is verified exhaustively at import time.
+claim by running both sides on every basis input of the rule's (at most
+three) qubits, so an unsound rule cannot enter the registry.  The same
+module hosts the syntactic commutation test used to slide gates past each
+other; it too is verified exhaustively at import time.
+
+Both checks are exact and need no numpy.  Every gate of the alphabet but
+H moves amplitudes or multiplies them by ±1 or ±i, and H without its
+1/√2 adds and subtracts them, so a side's columns are Gaussian integers
+times (1/√2)^h, h its number of H gates.  Two sides are equal exactly
+when their integer columns agree once scaled to a common power of √2:
+there is no tolerance, and a side that is off by a global phase fails.
 """
 
 from __future__ import annotations
@@ -14,10 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circuit import Gate, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS
-from .simulator import GatePlan
 
 __all__ = [
     "REGISTRY",
@@ -28,11 +32,63 @@ __all__ = [
 ]
 
 
-def _unitary(gates, n):
-    """The gates' 2^n x 2^n unitary: one plan run on every basis input."""
-    dim = 2 ** n
-    plan = GatePlan(gates, np.empty((dim, dim), dtype=np.complex128))
-    return plan.run_basis(range(dim)).T  # row b of the run is column b
+def _run_exact(gates, n: int, inputs) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Each basis input in ``inputs`` run through ``gates`` on qubits 1..n.
+
+    Returns ``(h, columns)``: ``columns[j]`` holds the output for
+    ``inputs[j]`` as Gaussian integers, (real, imaginary) int pairs, and
+    the true output is that column times (1/√2)^h, h the number of H
+    gates.  Qubit 1 is the most significant bit of a basis index.
+    """
+    columns = []
+    for b in inputs:
+        amps = [(0, 0)] * (1 << n)
+        amps[b] = (1, 0)
+        for gate in gates:
+            amps = _apply_exact(gate, n, amps)
+        columns.append(amps)
+    return sum(g.kind == "H" for g in gates), columns
+
+
+def _apply_exact(gate: Gate, n: int, amps):
+    """``amps`` after ``gate``, H without its 1/√2."""
+    t = 1 << (n - gate.q[-1])
+    c = 1 << (n - gate.q[0]) if len(gate.q) == 2 else 0
+    kind = gate.kind[-1]  # a controlled gate acts as its target's kind
+    out = list(amps)
+    for i, (re, im) in enumerate(amps):
+        if i & c != c:
+            continue  # control is 0
+        if kind == "X":
+            out[i ^ t] = (re, im)
+        elif kind == "Y":  # Y|0> = i|1>, Y|1> = -i|0>
+            out[i ^ t] = (im, -re) if i & t else (-im, re)
+        elif kind == "H":
+            other_re, other_im = amps[i ^ t]
+            out[i] = ((other_re - re, other_im - im) if i & t
+                      else (re + other_re, im + other_im))
+        elif i & t:
+            out[i] = (-re, -im) if kind == "Z" else (-im, re)  # Z, or S: i
+    return out
+
+
+def _same_operator(lhs, rhs) -> bool:
+    """Whether two ``_run_exact`` results are equal, global phase included.
+
+    (1/√2)^h1·a = (1/√2)^h2·b holds for nonzero Gaussian-integer columns
+    a and b only when h1 - h2 is even, and then exactly when
+    2^((top - h1)/2)·a = 2^((top - h2)/2)·b, top = max(h1, h2).
+    """
+    (h1, cols1), (h2, cols2) = lhs, rhs
+    if (h1 - h2) % 2:
+        return False
+    top = max(h1, h2)
+    s1, s2 = 1 << ((top - h1) // 2), 1 << ((top - h2) // 2)
+    return all(
+        re1 * s1 == re2 * s2 and im1 * s1 == im2 * s2
+        for col1, col2 in zip(cols1, cols2, strict=True)
+        for (re1, im1), (re2, im2) in zip(col1, col2, strict=True)
+    )
 
 
 @dataclass(frozen=True)
@@ -63,17 +119,14 @@ class RewriteRule:
 
     def verify(self) -> None:
         n = self.arity
-        u_lhs = _unitary(self.pattern, n)
-        u_rhs = _unitary(self.replacement, n)
-        cols = range(2 ** n)
-        if self.zero_slots:
-            cols = [
-                c for c in cols
-                if all(not (c >> (n - s)) & 1 for s in self.zero_slots)
-            ]
-            u_lhs = u_lhs[:, cols]
-            u_rhs = u_rhs[:, cols]
-        if not np.allclose(u_lhs, u_rhs, atol=1e-12):
+        inputs = [
+            b for b in range(2 ** n)
+            if not any(b >> (n - s) & 1 for s in self.zero_slots)
+        ]
+        if not _same_operator(
+            _run_exact(self.pattern, n, inputs),
+            _run_exact(self.replacement, n, inputs),
+        ):
             raise AssertionError(
                 f"rewrite rule {self.name!r} is not a unitary identity"
             )
@@ -83,7 +136,7 @@ REGISTRY: dict[str, RewriteRule] = {}
 
 
 def register(r: RewriteRule) -> RewriteRule:
-    """Verify ``r`` by brute force and add it to the registry."""
+    """Verify ``r`` exactly and add it to the registry."""
     if r.name in REGISTRY:
         raise ValueError(f"rewrite rule {r.name!r} is already registered")
     r.verify()
@@ -235,8 +288,7 @@ def gates_commute(a: Gate, b: Gate) -> bool:
     Conservative: gates with disjoint supports always commute, and on
     every shared qubit the local actions must be of the same commuting
     type (both diagonal, both X-like, or both Y-like).  One comparison of
-    cached bit masks.  Verified exhaustively against the dense simulator
-    at import time.
+    cached bit masks.  Verified exhaustively and exactly at import time.
     """
     sa, da, xa, ya = _action_masks(a)
     sb, db, xb, yb = _action_masks(b)
@@ -244,6 +296,13 @@ def gates_commute(a: Gate, b: Gate) -> bool:
 
 
 def _verify_commutation_predicate() -> None:
+    """Check ``gates_commute`` exactly on every pair of gates on qubits 1..3.
+
+    Gates on disjoint qubits always commute, so only a pair that shares a
+    qubit and that the predicate passes is run: a·b against b·a, on the
+    pair's union of qubits renumbered 1..m (m ≤ 3).  Renumbered pairs
+    repeat, and a·b = b·a is symmetric, so each is run once.
+    """
     gates = [Gate(k, (q,)) for k in ONE_QUBIT_KINDS for q in (1, 2, 3)]
     gates += [
         Gate(k, (c, t))
@@ -252,14 +311,21 @@ def _verify_commutation_predicate() -> None:
         for t in (1, 2, 3)
         if c != t
     ]
-    # One row of products at a time: U_a·U_b against U_b·U_a for every b,
-    # at np.allclose's tolerance (rtol 1e-5, atol 1e-12).  All 39 x 39
-    # products at once would add megabytes to every import's peak memory.
-    u = np.stack([_unitary([g], 3) for g in gates])
-    for a, ua in zip(gates, u):
-        close = np.isclose(ua @ u, u @ ua, rtol=1e-5, atol=1e-12)
-        for b, ok in zip(gates, close.all(axis=(1, 2))):
-            if not ok and gates_commute(a, b):
+    commute: dict[frozenset[Gate], bool] = {}
+    for a in gates:
+        for b in gates:
+            if not a.support & b.support or not gates_commute(a, b):
+                continue
+            wires = {q: i for i, q in enumerate(sorted({*a.q, *b.q}), 1)}
+            la, lb = (Gate(g.kind, [wires[q] for q in g.q]) for g in (a, b))
+            key = frozenset((la, lb))
+            if key not in commute:
+                inputs = range(2 ** len(wires))
+                commute[key] = _same_operator(
+                    _run_exact((lb, la), len(wires), inputs),
+                    _run_exact((la, lb), len(wires), inputs),
+                )
+            if not commute[key]:
                 raise AssertionError(
                     f"commutation predicate wrongly passes {a} and {b}"
                 )

@@ -13,6 +13,8 @@ update runs on all B rows at once, each row going through exactly the
 elementwise arithmetic it would alone.  After every gate each row's norm
 is asserted to stay within 1e-10 of 1.  ``circuits_equivalent`` proves
 up to ``BATCH_AMPS`` (2^13) amplitudes of basis inputs per execution.
+No state is allocated on more than ``MAX_QUBITS`` (26) qubits: past it,
+``dense_size`` raises ``DenseLimitError`` before any memory is taken.
 
 This module is deliberately independent of the synthesis path wherever it
 serves as an oracle: ``projector_encode`` builds encoded states directly
@@ -45,6 +47,9 @@ from .pauli import PauliString
 from .symplectic import StandardForm
 
 __all__ = [
+    "MAX_QUBITS",
+    "DenseLimitError",
+    "dense_size",
     "StateVector",
     "GatePlan",
     "apply_gate",
@@ -65,7 +70,29 @@ TOL = 1e-10
 # execution: B = max(1, BATCH_AMPS >> n) basis inputs per plan run.
 BATCH_AMPS = 1 << 13
 
+# No state has more qubits.  A proof at the limit holds two 2^26-amplitude
+# buffers of 1 GiB each and the H scratch halves of both.
+MAX_QUBITS = 26
+
 _SQ = 1.0 / np.sqrt(2.0)
+
+
+class DenseLimitError(ValueError):
+    """A dense state would have more than ``MAX_QUBITS`` qubits."""
+
+
+def dense_size(n: int) -> int:
+    """2^n, the amplitudes of an n-qubit state; past ``MAX_QUBITS`` an error.
+
+    Every allocation of 2^n amplitudes or table entries asks here first,
+    so an input too large for dense simulation fails before any memory is
+    taken, with one message naming n and the limit.
+    """
+    if n > MAX_QUBITS:
+        raise DenseLimitError(
+            f"{n} qubits exceed the dense simulator's limit of {MAX_QUBITS}"
+        )
+    return 1 << n
 
 
 class StateVector:
@@ -75,13 +102,14 @@ class StateVector:
 
     def __init__(self, n: int, amps: np.ndarray | None = None):
         self.n = int(n)
+        dim = dense_size(self.n)
         if amps is None:
-            amps = np.zeros(2**self.n, dtype=np.complex128)
+            amps = np.zeros(dim, dtype=np.complex128)
             amps[0] = 1.0
         else:
             amps = np.ascontiguousarray(amps, dtype=np.complex128)
-            if amps.shape != (2**self.n,):
-                raise ValueError(f"need {2**self.n} amplitudes for n={self.n}")
+            if amps.shape != (dim,):
+                raise ValueError(f"need {dim} amplitudes for n={self.n}")
         self.amps = amps
 
     @classmethod
@@ -290,10 +318,11 @@ def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     Z^z multiplies amplitude i by ``signs[i & z]``.  Both arrays are read
     only and shared by every ``pauli_amplitudes`` call on n qubits.
     """
+    dim = dense_size(n)
     signs = np.ones(1)
     for _ in range(n):  # the upper half has one more set bit
         signs = np.concatenate([signs, -signs])
-    indices = np.arange(2**n, dtype=np.int64)
+    indices = np.arange(dim, dtype=np.int64)
     indices.flags.writeable = signs.flags.writeable = False
     return indices, signs
 
@@ -334,7 +363,7 @@ def projector_encode(sf: StandardForm, bits: str) -> StateVector:
     n, r, k = sf.n, sf.r, sf.k
     if len(bits) != k or set(bits) - {"0", "1"}:
         raise ValueError(f"need {k} logical bits, got {bits!r}")
-    amps = np.zeros(2**n, dtype=np.complex128)
+    amps = np.zeros(dense_size(n), dtype=np.complex128)
     for subset in range(2**r):
         members = [i for i in range(r) if (subset >> i) & 1]
         if members:
@@ -420,8 +449,9 @@ def circuits_equivalent(
         raise ValueError(f"unknown scope {scope!r}")
     if c1.n != c2.n:
         return False
+    dim = dense_size(c1.n)
     if scope == "full":
-        inputs = range(2**c1.n)
+        inputs = range(dim)
     else:
         if c1.roles != c2.roles:
             return False
@@ -431,8 +461,8 @@ def circuits_equivalent(
             for i in range(2**k)
         ]
     rows = min(len(inputs), max(1, BATCH_AMPS >> c1.n))
-    plan1 = GatePlan(c1.gates, np.empty((rows, 2**c1.n), dtype=np.complex128))
-    plan2 = GatePlan(c2.gates, np.empty((rows, 2**c2.n), dtype=np.complex128))
+    plan1 = GatePlan(c1.gates, np.empty((rows, dim), dtype=np.complex128))
+    plan2 = GatePlan(c2.gates, np.empty((rows, dim), dtype=np.complex128))
     phase = None
     for start in range(0, len(inputs), rows):
         chunk = inputs[start:start + rows]
@@ -478,7 +508,7 @@ def measure_syndrome(
         raise ValueError("state size does not match code")
     circuit = synthesize_syndrome_circuit(sf)
     faulty = apply_pauli(encoded, error)
-    extended = np.zeros(2 ** circuit.n, dtype=np.complex128)
+    extended = np.zeros(dense_size(circuit.n), dtype=np.complex128)
     extended.reshape(2**sf.n, -1)[:, 0] = faulty.amps
     state = StateVector(circuit.n, extended)
     GatePlan(circuit.gates, state.amps).execute()

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stabsynth.cli
 from stabsynth import optimizer
 from stabsynth.circuit import Circuit, Gate, from_json, gate_counts, to_json
 from stabsynth.cli import _build_parser, main
+from stabsynth.simulator import MAX_QUBITS
 
 
 def run_cli(capsys, *argv):
@@ -409,3 +415,70 @@ def test_export_qasm(capsys, mixed_eight, tmp_path):
     text = out_path.read_text()
     assert text.startswith("OPENQASM 2.0;")
     assert "cx" in text
+
+
+# Run in a fresh interpreter: importing the CLI, then running the commands
+# that never need an amplitude, leaves numpy and the simulator unloaded.
+_NUMPY_FREE = """
+import sys
+from stabsynth.cli import main
+
+def unloaded(step):
+    assert not {"numpy", "stabsynth.simulator"} & set(sys.modules), step
+
+unloaded("import")
+try:
+    main(["--help"])
+except SystemExit as done:
+    assert done.code == 0
+unloaded("--help")
+circuit = sys.argv[1]
+for argv, want in (
+    (["synth", "steane", "-o", circuit], 0),
+    (["syndromes", "steane"], 0),
+    (["export-qasm", circuit], 0),
+    (["verify", "no_such_code", circuit], 2),
+):
+    assert main(argv) == want, argv
+    unloaded(argv[0])
+"""
+
+
+def test_commands_without_amplitudes_load_no_numpy(tmp_path):
+    src = Path(stabsynth.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, str(tmp_path / "steane.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _repetition(tmp_path, n):
+    """A [[n, 1]] repetition code and a one-CX circuit with its roles."""
+    code = tmp_path / f"rep{n}.stab"
+    rows = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]
+    code.write_text(f"name: rep{n}\nn: {n}\nk: 1\n" + "\n".join(rows) + "\n")
+    circuit = tmp_path / f"rep{n}.json"
+    circuit.write_text(to_json(Circuit(
+        n=n, gates=(Gate("CX", (1, 2)),),
+        roles=("logical_input",) + ("ancilla_zero",) * (n - 1),
+    )))
+    return str(code), str(circuit)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+@pytest.mark.parametrize("command", ["optimize", "verify", "simulate"])
+def test_past_the_dense_limit_exits_2(capsys, tmp_path, n, command):
+    code_path, circuit_path = _repetition(tmp_path, n)
+    argv = {
+        "optimize": [circuit_path],
+        "verify": [code_path, circuit_path],
+        "simulate": [code_path],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {n} qubits exceed the dense simulator's limit of {MAX_QUBITS}\n"
+    )

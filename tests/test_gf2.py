@@ -165,6 +165,15 @@ def test_min_weight_solution():
     assert picks is not None and len(picks) == 1
     # Both columns are 11, so 01 is outside their span.
     assert gf2.min_weight_solution([0b11, 0b11], 0b01) is None
+    # A weight bound of 1 takes the first column equal to the target; below
+    # 1 nothing solves a nonzero target, and a zero target needs nothing.
+    assert gf2.min_weight_solution([0b01, 0b10, 0b10], 0b10, 1) == [1]
+    assert gf2.min_weight_solution([0b01, 0b10], 0b11, 1) is None
+    assert gf2.min_weight_solution([0b11], 0b11) == [0]
+    assert gf2.min_weight_solution([0b11], 0b11, 0) is None
+    assert gf2.min_weight_solution([0b11], 0b11, -1) is None
+    assert gf2.min_weight_solution([], 0b1) is None
+    assert gf2.min_weight_solution([0b1], 0, -1) == []
 
 
 def _brute_min_weight(columns, target):
@@ -190,7 +199,10 @@ def _columns_and_target(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_columns_and_target(), st.one_of(st.none(), st.integers(0, 10)))
+@given(
+    _columns_and_target(),
+    st.one_of(st.sampled_from([-1, 0, 1, None]), st.integers(-1, 10)),
+)
 def test_min_weight_solution_matches_brute_force(case, max_weight):
     columns, target = case
     want = _brute_min_weight(columns, target)

@@ -28,18 +28,46 @@ def _per_column_unitary(gates, n):
     return u
 
 
-def test_unitary_is_bit_identical_to_the_per_column_loop():
+def test_exact_columns_match_the_dense_unitary():
     # Every registered rule's two sides, on its arity and on three qubits
-    # (the commutation check's size), compared as int64 bit patterns.
+    # (the commutation check's largest size): the Gaussian-integer columns
+    # times (1/√2)^h against the dense simulator's unitary.
     for r in REGISTRY.values():
         for gates in (r.pattern, r.replacement):
             for n in {r.arity, 3}:
-                got = rules._unitary(gates, n)
+                h, columns = rules._run_exact(gates, n, range(2**n))
+                assert h == sum(g.kind == "H" for g in gates)
+                exact = np.array(
+                    [[complex(re, im) for re, im in col] for col in columns]
+                ).T * 2 ** (-h / 2)
                 want = _per_column_unitary(gates, n)
-                assert got.shape == want.shape
-                assert np.array_equal(
-                    np.ascontiguousarray(got).view(np.int64), want.view(np.int64)
-                ), (r.name, n)
+                assert np.allclose(exact, want, rtol=0, atol=1e-12), (r.name, n)
+
+
+def test_register_rejects_a_global_phase_error():
+    # X·Z·X·Z is -I: equal to the identity up to a global phase only.
+    xzxz = tuple(Gate(k, (1,)) for k in "XZXZ")
+    with pytest.raises(AssertionError, match="not a unitary identity"):
+        register(RewriteRule("xzxz_is_minus_identity", xzxz, ()))
+    assert "xzxz_is_minus_identity" not in REGISTRY
+    # Twice that is the identity, and passes.
+    RewriteRule("xzxz_twice", xzxz * 2, ()).verify()
+
+
+def test_exact_check_compares_powers_of_root_two():
+    h, s = Gate("H", (1,)), Gate("S", (1,))
+    identity = rules._run_exact((), 1, range(2))
+    # H·H is I: columns (2, 0) and (0, 2) over two H's.
+    assert rules._same_operator(rules._run_exact((h, h), 1, range(2)), identity)
+    assert not rules._same_operator(rules._run_exact((h,), 1, range(2)), identity)
+    # (H·S)^3 is e^(iπ/4)·I: its columns are (2 + 2i)·I over three H's, an
+    # odd power of √2 that no identity over an even one can match.
+    hs3 = rules._run_exact((h, s) * 3, 1, range(2))
+    assert hs3 == (3, [[(2, 2), (0, 0)], [(0, 0), (2, 2)]])
+    assert not rules._same_operator(hs3, identity)
+    assert np.allclose(
+        _per_column_unitary((h, s) * 3, 1), np.exp(1j * np.pi / 4) * np.eye(2)
+    )
 
 
 def test_lookup():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stabsynth import simulator
 from stabsynth.circuit import GATE_KINDS, ONE_QUBIT_KINDS, Circuit, Gate
 from stabsynth.encoder import synthesize_encoder
+from stabsynth.library import loads_stab
 from stabsynth.pauli import PauliString
 from stabsynth.simulator import (
     GatePlan,
@@ -720,3 +721,37 @@ def test_measure_syndrome_rejects_size_mismatch(steane_sf):
             PauliString.parse("XIIIIII"),
             steane_sf,
         )
+
+
+def test_dense_allocations_stop_at_the_qubit_limit():
+    # Each allocation site asks dense_size first, so n = 40 fails at once
+    # with DenseLimitError (a ValueError) and takes no memory.
+    rep = loads_stab("name: rep40\nn: 40\nk: 1\n" + "\n".join(
+        "I" * i + "ZZ" + "I" * (38 - i) for i in range(39)
+    )).standard_form()
+    wide = Circuit(n=40, gates=(Gate("CX", (1, 2)),),
+                   roles=("logical_input",) + ("ancilla_zero",) * 39)
+    message = f"^40 qubits exceed the dense simulator's limit of {simulator.MAX_QUBITS}$"
+    for call in (
+        lambda: StateVector(40),
+        lambda: run(wide),
+        lambda: projector_encode(rep, "0"),
+        lambda: simulator._index_tables(40),
+        lambda: circuits_equivalent(wide, wide),
+        lambda: circuits_equivalent(wide, wide, scope="full"),
+    ):
+        with pytest.raises(simulator.DenseLimitError, match=message):
+            call()
+    assert issubclass(simulator.DenseLimitError, ValueError)
+    assert simulator.dense_size(simulator.MAX_QUBITS) == 1 << simulator.MAX_QUBITS
+
+
+def test_syndrome_readout_checks_the_limit_on_data_and_ancillas():
+    # A [[14, 1]] state is small, but with its 13 ancillas the readout
+    # would need 27 qubits.
+    rep = loads_stab("name: rep14\nn: 14\nk: 1\n" + "\n".join(
+        "I" * i + "ZZ" + "I" * (12 - i) for i in range(13)
+    )).standard_form()
+    encoded = projector_encode(rep, "0")
+    with pytest.raises(simulator.DenseLimitError, match="^27 qubits"):
+        measure_syndrome(encoded, PauliString.identity(14), rep)
