@@ -16,10 +16,13 @@ unknown flags, and circuits or codes past the dense simulator's qubit
 limit).  All commands are deterministic: identical inputs produce
 byte-identical outputs.
 
-Importing this module loads neither numpy nor the dense simulator:
-``verify`` and ``simulate`` import them where they first need amplitudes,
-and ``optimize`` for its final proof, so ``synth``, ``syndromes``,
-``export-qasm``, ``--help`` and input errors start without them.
+Importing this module loads neither numpy, the dense simulator nor the
+optimizer stack (``optimizer``, whose ``rules`` import runs the exact
+template proofs, and ``linear``): ``optimize`` imports the optimizer where
+it first needs it, and the optimizer loads the simulator for its final
+proof; ``verify`` and ``simulate`` import numpy and the simulator where
+they first need amplitudes.  So ``synth``, ``syndromes``, ``export-qasm``,
+``--help`` and input errors start without any of them.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from pathlib import Path
 from . import library
 from .circuit import Circuit, Gate, from_json, to_json, to_qasm
 from .gf2 import solve as gf2_solve
-from .linear import DEFAULT_SEARCH_BUDGET
 from .encoder import require_unsigned, synthesize_encoder
-from .optimizer import OptimizationError, optimize
 from .pauli import PauliString
 from .syndrome import build_syndrome_table, format_table, syndrome_of
 
@@ -90,9 +91,20 @@ def _cmd_synth(args) -> int:
     if gate_set == "cnot_cz" and None in _fixing_signs(
         circuit.gates, sf.generators
     ):
+        # A Hermitian Pauli with an odd number of Y letters is a purely
+        # imaginary matrix, so it fixes no real state, and {H, CX, CZ}
+        # with a Z frame prepares only real ones.
+        odd_y = next(
+            (g for g in sf.generators if (g.x & g.z).bit_count() & 1), None
+        )
+        cause = (
+            f"its standard-form generator {odd_y} has an odd number of Y "
+            "letters, so it fixes no real state" if odd_y is not None
+            else "its state is not stabilized up to a Z frame"
+        )
         raise _InputError(
-            f"the {args.gates} encoder cannot encode {code.name}: its "
-            "state is not stabilized up to a Z frame; use --gates mixed"
+            f"the {args.gates} encoder cannot encode {code.name}: "
+            f"{cause}; use --gates mixed"
         )
     _write_output(to_json(circuit), args.output)
     return 0
@@ -111,12 +123,18 @@ def _cmd_optimize(args) -> int:
             witnesses.append(ops)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise _InputError(f"bad witness file {path!r}: {exc}") from exc
+    from .optimizer import OptimizationError, optimize
+
+    # No --search-budget leaves optimize its own default budget.
+    budget = {} if args.search_budget is None else {
+        "search_budget": args.search_budget
+    }
     try:
         optimized, report = optimize(
             circuit,
             level=args.level,
-            search_budget=args.search_budget,
             block_witnesses=witnesses or None,
+            **budget,
         )
     except (ValueError, OptimizationError) as exc:
         raise _InputError(str(exc)) from exc
@@ -249,6 +267,29 @@ def _fixing_signs(gates, generators) -> list[int | None]:
     return signs
 
 
+def _solve_frame(labels, flips) -> int | None:
+    """``gf2.solve(labels, flips)``, from at most n + 1 pivot rows.
+
+    ``labels`` and ``flips`` are int64 numpy arrays, one equation
+    ``parity(label & F) == flip`` per entry; labels may repeat.  The
+    augmented rows ``label << 1 | flip`` are eliminated with numpy, top bit
+    first, and only the pivot rows go to ``gf2.solve``: its answer depends
+    only on the augmented row space, and a pivot equal to 1 reads 0 = 1,
+    for which it returns None.
+    """
+    import numpy as np
+
+    rows = labels << 1 | flips
+    pivots = []
+    # The largest row holds the top bit.  XOR with it clears that bit from
+    # every row that has it, lowering the row, and sets it in every other
+    # row, raising it: so the minimum of the two is the eliminated row.
+    while pivot := int(rows.max(initial=0)):
+        np.minimum(rows, rows ^ pivot, out=rows)
+        pivots.append(pivot)
+    return gf2_solve([row >> 1 for row in pivots], [row & 1 for row in pivots])
+
+
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
@@ -282,9 +323,8 @@ def _cmd_verify(args) -> int:
     )
     frame = 0
     if args.allow_frame and consistent:
-        rows = equations[0].nonzero()[0].tolist()
-        flipped = equations[1].nonzero()[0].tolist()
-        solved = gf2_solve(rows + flipped, [0] * len(rows) + [1] * len(flipped))
+        flips, labels = equations.nonzero()
+        solved = _solve_frame(labels, flips)
         consistent = solved is not None
         frame = solved or 0
     frame_wires = [q for q in range(1, n + 1) if frame >> (n - q) & 1]
@@ -400,9 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimize a circuit JSON file")
     p.add_argument("circuit", metavar="circuit.json")
     p.add_argument("--level", choices=("rules", "full"), default="rules")
-    p.add_argument(
-        "--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET, metavar="N"
-    )
+    p.add_argument("--search-budget", type=int, metavar="N")
     p.add_argument(
         "--witness", action="append", metavar="W.json",
         help='JSON file {"ops": [[control, target], ...]} with a known '

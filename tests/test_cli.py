@@ -1,17 +1,20 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import stabsynth.cli
-from stabsynth import optimizer
+from stabsynth import gf2, linear, optimizer
 from stabsynth.circuit import Circuit, Gate, from_json, gate_counts, to_json
-from stabsynth.cli import _build_parser, main
+from stabsynth.cli import _build_parser, _solve_frame, main
 from stabsynth.simulator import MAX_QUBITS
 
 
@@ -228,6 +231,36 @@ def test_synth_signed_generator_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@st.composite
+def _frame_systems(draw):
+    """Labels (repeats likely) and flips; half of them consistent with a
+    drawn frame, the other half with some flips toggled."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, 2**n - 1), max_size=30))
+    frame = draw(st.integers(0, 2**n - 1))
+    flips = [(label & frame).bit_count() & 1 for label in labels]
+    if draw(st.booleans()):
+        toggles = draw(st.lists(
+            st.booleans(), min_size=len(labels), max_size=len(labels)
+        ))
+        flips = [f ^ t for f, t in zip(flips, toggles)]
+    return labels, flips
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frame_systems())
+@example(([], []))
+@example(([0], [1]))
+@example(([5, 5], [0, 1]))
+@example(([6, 6, 3, 5], [1, 1, 0, 1]))
+def test_frame_solve_on_pivot_rows_is_the_full_solve(system):
+    labels, flips = system
+    got = _solve_frame(
+        np.array(labels, dtype=np.int64), np.array(flips, dtype=np.int64)
+    )
+    assert got == gf2.solve(labels, flips)
+
+
 def test_synth_cnot_cz_refuses_a_code_it_cannot_encode(capsys, tmp_path):
     # Z in place of S leaves a factor of i on YIZ that no Z frame absorbs.
     stab = tmp_path / "yiz.stab"
@@ -242,6 +275,20 @@ def test_synth_cnot_cz_refuses_a_code_it_cannot_encode(capsys, tmp_path):
     assert main(["synth", str(stab), "-o", str(encoder)]) == 0
     assert main(["verify", str(stab), str(encoder)]) == 0
     capsys.readouterr()
+
+
+def test_synth_cnot_cz_refusal_names_an_odd_y_generator(capsys, tmp_path):
+    # The standard form is XIZI, IYIZ: the first generator is real, the
+    # second, with one Y, purely imaginary.
+    stab = tmp_path / "odd_y.stab"
+    stab.write_text("name: odd_y\nn: 4\nk: 2\nXZII\nIIYZ\n")
+    code, out, err = run_cli(capsys, "synth", str(stab), "--gates", "cnot-cz")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the cnot-cz encoder cannot encode odd_y: its standard-form "
+        "generator IYIZ has an odd number of Y letters, so it fixes no real "
+        "state; use --gates mixed\n"
+    )
 
 
 @pytest.mark.parametrize("name", ["eight_qubit", "steane", "thirteen_qubit"])
@@ -418,13 +465,17 @@ def test_export_qasm(capsys, mixed_eight, tmp_path):
 
 
 # Run in a fresh interpreter: importing the CLI, then running the commands
-# that never need an amplitude, leaves numpy and the simulator unloaded.
+# that never need an amplitude, leaves numpy and the simulator unloaded,
+# and no command but optimize loads the optimizer stack; verify and
+# simulate may load numpy.
 _NUMPY_FREE = """
 import sys
 from stabsynth.cli import main
 
-def unloaded(step):
-    assert not {"numpy", "stabsynth.simulator"} & set(sys.modules), step
+OPTIMIZER = {"stabsynth.optimizer", "stabsynth.rules", "stabsynth.linear"}
+
+def unloaded(step, modules=OPTIMIZER | {"numpy", "stabsynth.simulator"}):
+    assert not modules & set(sys.modules), step
 
 unloaded("import")
 try:
@@ -441,6 +492,13 @@ for argv, want in (
 ):
     assert main(argv) == want, argv
     unloaded(argv[0])
+for argv in (
+    ["verify", "steane", circuit],
+    ["verify", "steane", circuit, "--allow-frame"],
+    ["simulate", "steane", "--error", "X@3"],
+):
+    assert main(argv) == 0, argv
+    unloaded(argv[0], OPTIMIZER)
 """
 
 
@@ -452,6 +510,51 @@ def test_commands_without_amplitudes_load_no_numpy(tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_optimize_runs_from_a_fresh_interpreter(tmp_path):
+    script = """
+import sys
+from stabsynth.cli import main
+
+circuit, out = sys.argv[1:]
+assert main(["synth", "steane", "-o", circuit]) == 0
+assert "stabsynth.rules" not in sys.modules
+assert main(["optimize", circuit, "-o", out]) == 0
+assert "stabsynth.rules" in sys.modules
+"""
+    src = Path(stabsynth.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    enc, out = tmp_path / "steane.json", tmp_path / "steane.optimized.json"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(enc), str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    optimized, _ = optimizer.optimize(from_json(enc.read_text()))
+    assert out.read_text() == to_json(optimized)
+
+
+@pytest.mark.parametrize("flags, budget", [
+    ((), linear.DEFAULT_SEARCH_BUDGET),
+    (("--search-budget", "7"), 7),
+])
+def test_search_budget_reaching_optimize(
+    capsys, monkeypatch, cnotcz_eight, flags, budget
+):
+    seen = []
+    real = optimizer.optimize
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["search_budget"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize", spy)
+    code, _, _ = run_cli(capsys, "optimize", str(cnotcz_eight), *flags)
+    assert code == 0
+    assert seen == [budget]
 
 
 def _repetition(tmp_path, n):

@@ -233,6 +233,29 @@ def test_apply_rules_is_optimize_with_its_frame(forms):
             )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, min(3, n - 1)))
+    ),
+)
+def test_optimize_proves_random_encoders(seed, shape):
+    # Both gate sets, both levels; "full" with a small search budget.
+    n, k = shape
+    sf = _random_code(np.random.default_rng(seed), n, k).standard_form()
+    for gate_set in ("mixed", "cnot_cz"):
+        encoder = synthesize_encoder(sf, gate_set=gate_set)
+        for level in ("rules", "full"):
+            optimized, report = optimize(
+                encoder, level=level, search_budget=100
+            )
+            assert circuits_equivalent(
+                _composed(optimized, report.frame), encoder,
+                up_to_global_phase=False,
+            )
+
+
 def test_ports_keeps_feeders_behind_an_earlier_read():
     # Reduced from a random Clifford circuit.  After retarget, wire 2 is
     # fed by CX(1,2) and CX(4,2) with reads of wire 2 (CX(2,3), S(2))
