@@ -20,8 +20,10 @@ Importing this module loads neither numpy, the dense simulator nor the
 optimizer stack (``optimizer``, whose ``rules`` import runs the exact
 template proofs, and ``linear``): ``optimize`` imports the optimizer where
 it first needs it, and the optimizer loads the simulator for its final
-proof; ``verify`` and ``simulate`` import numpy and the simulator where
-they first need amplitudes.  So ``synth``, ``syndromes``, ``export-qasm``,
+proof; ``simulate`` imports numpy and the simulator where it first needs
+amplitudes.  ``verify`` loads neither: it imports ``stabilizer``, which
+decides every logical input exactly from stabilizer signs and one
+amplitude.  So ``synth``, ``syndromes``, ``export-qasm``, ``verify``,
 ``--help`` and input errors start without any of them.
 """
 
@@ -36,7 +38,6 @@ from pathlib import Path
 
 from . import library
 from .circuit import Circuit, Gate, from_json, to_json, to_qasm
-from .gf2 import solve as gf2_solve
 from .encoder import require_unsigned, synthesize_encoder
 from .pauli import PauliString
 from .syndrome import build_syndrome_table, format_table, syndrome_of
@@ -86,9 +87,11 @@ def _cmd_synth(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    from .stabilizer import fixing_signs
+
     # Some generator neither fixes nor negates C|0...0>: no Z frame can
     # repair that, so verify would FAIL the encoder whatever the frame.
-    if gate_set == "cnot_cz" and None in _fixing_signs(
+    if gate_set == "cnot_cz" and None in fixing_signs(
         circuit.gates, sf.generators
     ):
         # A Hermitian Pauli with an odd number of Y letters is a purely
@@ -154,142 +157,6 @@ def _cmd_syndromes(args) -> int:
     return 0
 
 
-def _logical_inputs(circuit, sf):
-    """(P_b, L_b) for every logical input b, in label order.
-
-    Input b is one Pauli away from input 0 on both sides: the circuit
-    gives C|b> = P_b·psi with P_b the product of the conjugated logical
-    X's C·X_q·C†, and the oracle gives L_b·phi with L_b the product of
-    ``sf.logical_x``.  P_b is Hermitian, so comparing P_b·psi with
-    L_b·phi amplitude by amplitude is comparing psi with the one Pauli
-    image Q_b·phi, Q_b = P_b·L_b, at index j for label j ^ P_b.x.
-    """
-    n = sf.n
-    conj_x = [
-        PauliString(1 << n - q, 0, n=n).conjugated_by(circuit.gates)
-        for q in circuit.logical_qubits()
-    ]
-    one = PauliString.identity(n)
-    inputs = [(one, one)]
-    for b in range(1, 2**sf.k):
-        # b sets one more logical bit than b - low: its lowest set bit
-        low = b & -b
-        p, ell = inputs[b - low]
-        j = sf.k - low.bit_length()
-        inputs.append((p * conj_x[j], ell * sf.logical_x[j]))
-    return inputs
-
-
-def _compare_inputs(psi, phi, inputs, allow_frame):
-    """Compare every logical input's output with the oracle's.
-
-    ``psi`` is the circuit's amplitude array for input 0, ``phi`` the
-    oracle's state for it, and ``inputs`` lists (P_b, L_b) per input b, as
-    ``_logical_inputs`` returns them.  Returns ``(consistent, matched,
-    equations, quiet_signs)``:
-
-    - ``consistent`` is False when some input has an index where the two
-      amplitudes agree up to neither sign; the inputs after it are skipped.
-    - ``matched`` counts the inputs that agree within TOL everywhere.
-    - ``equations[flip, label]`` marks each label of a live index (either
-      amplitude at least 1e-10) whose amplitudes agree up to the sign
-      (-1)^flip.  A terminal Z frame on wire set F flips the sign of each
-      amplitude by the XOR of its label bits on F, so F solves
-      ``parity(label & F) == flip`` for every marked label.  Labels are
-      ``gf2`` rows (qubit 1 the most significant bit).
-    - ``quiet_signs`` (with ``allow_frame`` only) keeps per input whether a
-      quiet index fits neither sign within TOL, and the labels of the quiet
-      indices that fit only + and only -.  A solved F gives every live
-      index its sign, so only these can still fail under it.
-
-    Both sides are compared only where either is at least TOL/2.  Off that
-    set both amplitudes are below TOL/2, so the index is quiet, fits both
-    signs within TOL and cannot fail a match: the answer is the full
-    comparison's, at about 2·2^r amplitudes per input instead of 2^n.
-    """
-    import numpy as np
-
-    from .simulator import TOL, pauli_amplitudes
-
-    psi_read = np.abs(psi) >= TOL / 2
-    psi_at = np.flatnonzero(psi_read)
-    phi_at = np.flatnonzero(np.abs(phi.amps) >= TOL / 2)
-    equations = np.zeros((2, psi.size), dtype=bool)
-    quiet_signs = []
-    consistent = True
-    matched = 0
-    for p, ell in inputs:
-        q = p * ell
-        extra = phi_at ^ q.x
-        at = np.concatenate([psi_at, extra[~psi_read[extra]]])
-        ours = psi[at]
-        theirs = pauli_amplitudes(phi, q, at)
-        diff = np.abs(ours - theirs)
-        total = np.abs(ours + theirs)
-        live = (np.abs(ours) >= 1e-10) | (np.abs(theirs) >= 1e-10)
-        same = live & (diff < 1e-10)
-        flip = live & ~same & (total < 1e-10)
-        if (live & ~(same | flip)).any():
-            consistent = False  # no frame is sought and nothing matches
-            break
-        if allow_frame:
-            # input b's label for psi's index i is i ^ P_b.x
-            labels = at ^ p.x
-            equations[0, labels[same]] = True
-            equations[1, labels[flip]] = True
-            plus, minus = ~live & (diff <= TOL), ~live & (total <= TOL)
-            quiet_signs.append((
-                (~live & ~(plus | minus)).any(),
-                labels[plus & ~minus].tolist(),
-                labels[minus & ~plus].tolist(),
-            ))
-        matched += bool(diff.max() <= TOL)
-    return consistent, matched, equations, quiet_signs
-
-
-def _fixing_signs(gates, generators) -> list[int | None]:
-    """Per generator g: 0 when g fixes psi, 1 when -g does, None when neither.
-
-    psi = C|0...0> for the circuit C that applies ``gates`` in order.  g
-    fixes psi exactly when C†·g·C fixes |0...0>, that is when C†·g·C is
-    +Z^z, and -g fixes psi when it is -Z^z.  C† applies the gates in
-    reverse, each its own inverse but S, whose inverse is S·Z.
-    """
-    inverse = []
-    for gate in reversed(gates):
-        inverse.append(gate)
-        if gate.kind == "S":
-            inverse.append(Gate("Z", gate.q))
-    signs = []
-    for g in generators:
-        pulled = g.conjugated_by(inverse)
-        signs.append(None if pulled.x else {0: 0, 2: 1}.get(pulled.phase_exp))
-    return signs
-
-
-def _solve_frame(labels, flips) -> int | None:
-    """``gf2.solve(labels, flips)``, from at most n + 1 pivot rows.
-
-    ``labels`` and ``flips`` are int64 numpy arrays, one equation
-    ``parity(label & F) == flip`` per entry; labels may repeat.  The
-    augmented rows ``label << 1 | flip`` are eliminated with numpy, top bit
-    first, and only the pivot rows go to ``gf2.solve``: its answer depends
-    only on the augmented row space, and a pivot equal to 1 reads 0 = 1,
-    for which it returns None.
-    """
-    import numpy as np
-
-    rows = labels << 1 | flips
-    pivots = []
-    # The largest row holds the top bit.  XOR with it clears that bit from
-    # every row that has it, lowering the row, and sets it in every other
-    # row, raising it: so the minimum of the two is the eliminated row.
-    while pivot := int(rows.max(initial=0)):
-        np.minimum(rows, rows ^ pivot, out=rows)
-        pivots.append(pivot)
-    return gf2_solve([row >> 1 for row in pivots], [row & 1 for row in pivots])
-
-
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
@@ -308,49 +175,24 @@ def _cmd_verify(args) -> int:
             f"circuit marks {len(logical)} logical inputs "
             f"but {code.name} has k={sf.k}"
         )
+    if circuit.measurements:
+        measured = sorted({q for q, _ in circuit.measurements})
+        raise _InputError(
+            f"circuit measures {'qubit' if len(measured) == 1 else 'qubits'} "
+            f"{', '.join(map(str, measured))}; verify checks encoders "
+            "without measurements"
+        )
 
-    from .simulator import DenseLimitError, logical_label, projector_encode, run
+    from .limits import DenseLimitError, dense_size
+    from .stabilizer import verify_counts
 
     n, k = sf.n, sf.k
     try:
-        psi = run(circuit, logical_label(circuit, "0" * k)).amps
-        phi = projector_encode(sf, "0" * k)
+        dense_size(n)
     except DenseLimitError as exc:
         raise _InputError(str(exc)) from exc
-    inputs = _logical_inputs(circuit, sf)
-    consistent, matched, equations, quiet_signs = _compare_inputs(
-        psi, phi, inputs, args.allow_frame
-    )
-    frame = 0
-    if args.allow_frame and consistent:
-        flips, labels = equations.nonzero()
-        solved = _solve_frame(labels, flips)
-        consistent = solved is not None
-        frame = solved or 0
+    stabilized, matched, frame = verify_counts(circuit, sf, args.allow_frame)
     frame_wires = [q for q in range(1, n + 1) if frame >> (n - q) & 1]
-
-    # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with - when g anticommutes with
-    # Z_F·P_b, so g fixes input b when that sign cancels the one on g
-    # that fixes psi.
-    signs = _fixing_signs(circuit.gates, sf.generators)
-    stabilized = 0
-    if None not in signs:
-        for p, _ in inputs:
-            x, z = p.x, p.z ^ frame
-            stabilized += all(
-                ((g.x & z) ^ (g.z & x)).bit_count() & 1 == sign
-                for g, sign in zip(sf.generators, signs)
-            )
-    # With no frame the first pass counted the matches.
-    if not consistent:
-        matched = 0
-    elif frame:
-        matched = sum(
-            not neither
-            and not any((label & frame).bit_count() % 2 for label in plus)
-            and all((label & frame).bit_count() % 2 for label in minus)
-            for neither, plus, minus in quiet_signs
-        )
 
     frame_note = (
         " after frame " + " ".join(f"Z({q})" for q in frame_wires)

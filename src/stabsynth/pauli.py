@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .gf2 import as_bits
 
-__all__ = ["PauliString"]
+__all__ = ["PauliString", "conjugate"]
 
 _LETTERS = "IXZY"  # indexed by x + 2 * z
 _PREFIXES = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -142,58 +142,14 @@ class PauliString:
 
         Each gate has a ``kind`` and 1-based qubits ``q``, as in
         ``circuit.Gate``.  The phase is exact: C·P|s> = (C·P·C†)·C|s>
-        amplitude for amplitude, with no global-phase slack.  This is the
-        Heisenberg-picture update of Aaronson and Gottesman's stabilizer
-        simulation.  Gates act on i^c·X^x·Z^z, whose exponent c is
-        ``phase_exp`` plus the number of Ys.  With control bit a and target
-        bit b:
-
-        - H swaps x and z and adds 2 when both are set;
-        - S adds x to c and XORs x into z;
-        - X, Y and Z add 2·z, 2·(x XOR z) and 2·x;
-        - CX XORs x_a into x_b and z_b into z_a;
-        - CZ XORs x_a into z_b and x_b into z_a and adds 2·x_a·x_b;
-        - CY is S† on b, then CX, then S on b.
+        amplitude for amplitude, with no global-phase slack.  ``conjugate``
+        does the work on the operator's bits.
         """
-        n, x, z = self.n, self.x, self.z
-        c = self.phase_exp + (x & z).bit_count()
-        for gate in gates:
-            kind, q = gate.kind, gate.q
-            a = 1 << n - q[0]
-            if kind == "H":
-                if x & a and z & a:
-                    c += 2
-                elif x & a or z & a:
-                    x ^= a
-                    z ^= a
-            elif kind == "S":
-                if x & a:
-                    c += 1
-                    z ^= a
-            elif kind == "X":
-                c += 2 * bool(z & a)
-            elif kind == "Y":
-                c += 2 * (bool(x & a) ^ bool(z & a))
-            elif kind == "Z":
-                c += 2 * bool(x & a)
-            else:
-                b = 1 << n - q[1]
-                if kind == "CZ":
-                    if x & a and x & b:
-                        c += 2
-                    z ^= (b if x & a else 0) ^ (a if x & b else 0)
-                    continue
-                if kind == "CY" and x & b:
-                    c -= 1
-                    z ^= b
-                if x & a:
-                    x ^= b
-                if z & b:
-                    z ^= a
-                if kind == "CY" and x & b:
-                    c += 1
-                    z ^= b
-        return PauliString(x, z, c - (x & z).bit_count(), n=n)
+        x, z, c = conjugate(
+            self.x, self.z, self.phase_exp + (self.x & self.z).bit_count(),
+            gates, self.n,
+        )
+        return PauliString(x, z, c - (x & z).bit_count(), n=self.n)
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two operators commute (symplectic product = 0)."""
@@ -203,3 +159,58 @@ class PauliString:
     def weight(self) -> int:
         """Number of non-identity letters."""
         return (self.x | self.z).bit_count()
+
+
+def conjugate(x: int, z: int, c: int, gates, n: int) -> tuple[int, int, int]:
+    """C·P·C† for P = i^c·X^x·Z^z on n qubits, as the same three ints.
+
+    C applies ``gates`` in order; each gate has a ``kind`` and 1-based
+    qubits ``q``, as in ``circuit.Gate``.  This is the Heisenberg-picture
+    update of Aaronson and Gottesman's stabilizer simulation, with the
+    phase kept exactly: C·P|s> = (C·P·C†)·C|s> amplitude for amplitude.
+    The returned c is reduced mod 4.  With control bit a and target bit b:
+
+    - H swaps x and z and adds 2 when both are set;
+    - S adds x to c and XORs x into z;
+    - X, Y and Z add 2·z, 2·(x XOR z) and 2·x;
+    - CX XORs x_a into x_b and z_b into z_a;
+    - CZ XORs x_a into z_b and x_b into z_a and adds 2·x_a·x_b;
+    - CY is S† on b, then CX, then S on b.
+    """
+    for gate in gates:
+        kind, q = gate.kind, gate.q
+        a = 1 << n - q[0]
+        if kind == "H":
+            if x & a and z & a:
+                c += 2
+            elif x & a or z & a:
+                x ^= a
+                z ^= a
+        elif kind == "S":
+            if x & a:
+                c += 1
+                z ^= a
+        elif kind == "X":
+            c += 2 * bool(z & a)
+        elif kind == "Y":
+            c += 2 * (bool(x & a) ^ bool(z & a))
+        elif kind == "Z":
+            c += 2 * bool(x & a)
+        else:
+            b = 1 << n - q[1]
+            if kind == "CZ":
+                if x & a and x & b:
+                    c += 2
+                z ^= (b if x & a else 0) ^ (a if x & b else 0)
+                continue
+            if kind == "CY" and x & b:
+                c -= 1
+                z ^= b
+            if x & a:
+                x ^= b
+            if z & b:
+                z ^= a
+            if kind == "CY" and x & b:
+                c += 1
+                z ^= b
+    return x, z, c & 3

@@ -15,6 +15,7 @@ is asserted to stay within 1e-10 of 1.  ``circuits_equivalent`` proves
 up to ``BATCH_AMPS`` (2^13) amplitudes of basis inputs per execution.
 No state is allocated on more than ``MAX_QUBITS`` (26) qubits: past it,
 ``dense_size`` raises ``DenseLimitError`` before any memory is taken.
+All three live in the numpy-free ``limits`` and are re-exported here.
 
 This module is deliberately independent of the synthesis path wherever it
 serves as an oracle: ``projector_encode`` builds encoded states directly
@@ -22,16 +23,15 @@ from the standard-form generators by expanding the stabilizer projector,
 with no circuit involved, so circuit-produced states can be checked
 against it.
 
-A Pauli is a signed permutation of the amplitudes: it flips each basis
-index by the operator's x bits and reads each sign from one
+A Pauli is a signed permutation of the amplitudes: ``apply_pauli`` flips
+each basis index by the operator's x bits and reads each sign from one
 (-1)^popcount table, which is built once per n and shared.  Every
 applied phase is a power of i, so it moves amplitudes exactly.
-``pauli_amplitudes`` reads the image at any chosen indices and
-``apply_pauli`` is that read at every index.  That is what lets
-``stabsynth verify`` simulate one logical input per side and reach every
-other input with one Pauli, on the few indices where either side is
-nonzero: the circuit's C|b> is (C·X^b·C†)·C|0>, the conjugation coming
-from ``PauliString.conjugated_by``.
+
+``stabsynth simulate`` and the optimizer's final proof run here;
+``stabsynth verify`` does not, since ``stabilizer`` decides it exactly
+without amplitude arrays, and the tests keep this module as its dense
+reference.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .encoder import synthesize_syndrome_circuit
+from .limits import MAX_QUBITS, DenseLimitError, dense_size
 from .pauli import PauliString
 from .symplectic import StandardForm
 
@@ -55,7 +56,6 @@ __all__ = [
     "apply_gate",
     "run",
     "apply_pauli",
-    "pauli_amplitudes",
     "projector_encode",
     "check_stabilized",
     "states_close",
@@ -70,29 +70,7 @@ TOL = 1e-10
 # execution: B = max(1, BATCH_AMPS >> n) basis inputs per plan run.
 BATCH_AMPS = 1 << 13
 
-# No state has more qubits.  A proof at the limit holds two 2^26-amplitude
-# buffers of 1 GiB each and the H scratch halves of both.
-MAX_QUBITS = 26
-
 _SQ = 1.0 / np.sqrt(2.0)
-
-
-class DenseLimitError(ValueError):
-    """A dense state would have more than ``MAX_QUBITS`` qubits."""
-
-
-def dense_size(n: int) -> int:
-    """2^n, the amplitudes of an n-qubit state; past ``MAX_QUBITS`` an error.
-
-    Every allocation of 2^n amplitudes or table entries asks here first,
-    so an input too large for dense simulation fails before any memory is
-    taken, with one message naming n and the limit.
-    """
-    if n > MAX_QUBITS:
-        raise DenseLimitError(
-            f"{n} qubits exceed the dense simulator's limit of {MAX_QUBITS}"
-        )
-    return 1 << n
 
 
 class StateVector:
@@ -316,7 +294,7 @@ def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices 0..2^n-1 and (-1)^popcount(i) for each index i.
 
     Z^z multiplies amplitude i by ``signs[i & z]``.  Both arrays are read
-    only and shared by every ``pauli_amplitudes`` call on n qubits.
+    only and shared by every ``apply_pauli`` call on n qubits.
     """
     dim = dense_size(n)
     signs = np.ones(1)
@@ -327,28 +305,19 @@ def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, signs
 
 
-def pauli_amplitudes(
-    state: StateVector, p: PauliString, at: np.ndarray
-) -> np.ndarray:
-    """Amplitudes of p·state at the basis indices ``at``, in that order.
+def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
+    """Return p applied to the state (not in place).
 
     ``p.x`` and ``p.z`` share the basis index's layout (qubit 1 the most
     significant bit), so ``p.x`` flips an index by one XOR: index i of
-    p·state reads index i ^ p.x of the state.  Only the ``at`` entries
-    are computed, so a caller that needs a few of them never builds p·state.
+    p·state reads index i ^ p.x of the state.
     """
     if p.n != state.n:
         raise ValueError(f"operator has {p.n} qubits, state has {state.n}")
-    signs = _index_tables(state.n)[1]
+    indices, signs = _index_tables(state.n)
     phase = (1j) ** (p.phase_exp + (p.x & p.z).bit_count())
-    source = at ^ p.x
-    return state.amps[source] * phase * signs[source & p.z]
-
-
-def apply_pauli(state: StateVector, p: PauliString) -> StateVector:
-    """Return p applied to the state (not in place)."""
-    indices = _index_tables(state.n)[0]
-    return StateVector(state.n, pauli_amplitudes(state, p, indices))
+    source = indices ^ p.x
+    return StateVector(state.n, state.amps[source] * phase * signs[source & p.z])
 
 
 def projector_encode(sf: StandardForm, bits: str) -> StateVector:

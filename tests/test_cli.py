@@ -7,14 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import stabsynth.cli
-from stabsynth import gf2, linear, optimizer
+from stabsynth import linear, optimizer
 from stabsynth.circuit import Circuit, Gate, from_json, gate_counts, to_json
-from stabsynth.cli import _build_parser, _solve_frame, main
+from stabsynth.cli import _build_parser, main
+from stabsynth.library import golden_circuit
 from stabsynth.simulator import MAX_QUBITS
 
 
@@ -147,6 +146,30 @@ def test_verify_allow_frame_rejects_a_phase_on_a_logical_wire(
     assert out.rstrip().endswith("FAIL")
 
 
+@pytest.mark.parametrize("measured, named", [
+    ([1], "qubit 1"),
+    ([5, 2, 5], "qubits 2, 5"),
+])
+def test_verify_refuses_a_circuit_that_measures(
+    capsys, tmp_path, measured, named
+):
+    # The steane encoder with measurements added would otherwise verify
+    # 2/2 and PASS, since verify checks the gates alone.
+    code, _, _ = run_cli(capsys, "synth", "steane", "-o", str(tmp_path / "e.json"))
+    assert code == 0
+    doc = json.loads((tmp_path / "e.json").read_text())
+    doc["measurements"] = [{"q": q, "bit": i} for i, q in enumerate(measured)]
+    path = tmp_path / "measured.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--allow-frame"]):
+        code, out, err = run_cli(capsys, "verify", "steane", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: circuit measures {named}; verify checks encoders "
+            "without measurements\n"
+        )
+
+
 def test_verify_rejects_wrong_code(capsys, mixed_eight):
     code, _, err = run_cli(capsys, "verify", "steane", str(mixed_eight))
     assert code == 2
@@ -229,36 +252,6 @@ def test_synth_signed_generator_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: generator 2 carries a -1 sign")
     assert err.count("\n") == 1
-
-
-@st.composite
-def _frame_systems(draw):
-    """Labels (repeats likely) and flips; half of them consistent with a
-    drawn frame, the other half with some flips toggled."""
-    n = draw(st.integers(1, 8))
-    labels = draw(st.lists(st.integers(0, 2**n - 1), max_size=30))
-    frame = draw(st.integers(0, 2**n - 1))
-    flips = [(label & frame).bit_count() & 1 for label in labels]
-    if draw(st.booleans()):
-        toggles = draw(st.lists(
-            st.booleans(), min_size=len(labels), max_size=len(labels)
-        ))
-        flips = [f ^ t for f, t in zip(flips, toggles)]
-    return labels, flips
-
-
-@settings(max_examples=300, deadline=None)
-@given(_frame_systems())
-@example(([], []))
-@example(([0], [1]))
-@example(([5, 5], [0, 1]))
-@example(([6, 6, 3, 5], [1, 1, 0, 1]))
-def test_frame_solve_on_pivot_rows_is_the_full_solve(system):
-    labels, flips = system
-    got = _solve_frame(
-        np.array(labels, dtype=np.int64), np.array(flips, dtype=np.int64)
-    )
-    assert got == gf2.solve(labels, flips)
 
 
 def test_synth_cnot_cz_refuses_a_code_it_cannot_encode(capsys, tmp_path):
@@ -464,18 +457,21 @@ def test_export_qasm(capsys, mixed_eight, tmp_path):
     assert "cx" in text
 
 
-# Run in a fresh interpreter: importing the CLI, then running the commands
-# that never need an amplitude, leaves numpy and the simulator unloaded,
-# and no command but optimize loads the optimizer stack; verify and
-# simulate may load numpy.
+# Run in a fresh interpreter with numpy blocked: importing the CLI, then
+# running every command but simulate, with and without a frame for
+# verify, leaves numpy and the simulator unloaded, and no command but
+# optimize loads the optimizer stack.  Simulate runs last, with numpy
+# unblocked.
 _NUMPY_FREE = """
 import sys
+sys.modules["numpy"] = None  # any import of numpy raises ImportError
 from stabsynth.cli import main
 
 OPTIMIZER = {"stabsynth.optimizer", "stabsynth.rules", "stabsynth.linear"}
 
 def unloaded(step, modules=OPTIMIZER | {"numpy", "stabsynth.simulator"}):
-    assert not modules & set(sys.modules), step
+    loaded = {name for name, module in sys.modules.items() if module}
+    assert not modules & loaded, step
 
 unloaded("import")
 try:
@@ -489,24 +485,27 @@ for argv, want in (
     (["syndromes", "steane"], 0),
     (["export-qasm", circuit], 0),
     (["verify", "no_such_code", circuit], 2),
+    (["verify", "steane", circuit], 0),
+    (["verify", "steane", circuit, "--allow-frame"], 0),
+    (["verify", "thirteen_qubit", sys.argv[2]], 1),
+    (["verify", "thirteen_qubit", sys.argv[2], "--allow-frame"], 0),
 ):
     assert main(argv) == want, argv
-    unloaded(argv[0])
-for argv in (
-    ["verify", "steane", circuit],
-    ["verify", "steane", circuit, "--allow-frame"],
-    ["simulate", "steane", "--error", "X@3"],
-):
-    assert main(argv) == 0, argv
-    unloaded(argv[0], OPTIMIZER)
+    unloaded(argv)
+del sys.modules["numpy"]
+assert main(["simulate", "steane", "--error", "X@3"]) == 0
+unloaded("simulate", OPTIMIZER)
 """
 
 
 def test_commands_without_amplitudes_load_no_numpy(tmp_path):
+    golden = tmp_path / "thirteen_qubit.json"
+    golden.write_text(to_json(golden_circuit("thirteen_qubit")))
     src = Path(stabsynth.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, str(tmp_path / "steane.json")],
+        [sys.executable, "-c", _NUMPY_FREE, str(tmp_path / "steane.json"),
+         str(golden)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -2,15 +2,18 @@
 
 ``_reference_verify`` is the earlier `verify`: it runs the circuit and
 expands the projector afresh for every logical input, and keeps every
-state.  The CLI simulates input 0 on each side and reaches the other
-inputs with one Pauli each, so its stdout and exit code must match the
-reference byte for byte: on the shipped codes, on seeded random codes and
-on seeded single-gate mutants, with and without ``--allow-frame``.
+state.  The CLI decides every input from stabilizer signs and one exact
+amplitude (``stabilizer``), with no state at all, so its stdout and exit
+code must match the reference byte for byte: on the shipped codes, on
+seeded random codes, on seeded single-gate mutants and on random Clifford
+circuits, with and without ``--allow-frame``.
 
-Two of the CLI's steps also have their own dense reference.
-``_reference_compare`` compares each input on all 2^n amplitudes, where
-the CLI reads only the live support; ``check_stabilized`` applies each
-generator to the state, where the CLI conjugates it through the circuit.
+The decision's parts also have their own dense references.
+``_reference_compare`` compares each input on all 2^n amplitudes of
+P_b·C|0…0> and L_b·|0_L>; ``check_stabilized`` applies each generator to
+the state, where the CLI conjugates it through the circuit; the tracked
+amplitude of C|0…0> and the oracle's pivot products are read against
+``run`` and ``projector_encode``.
 """
 
 import io
@@ -26,18 +29,17 @@ import stabsynth.cli
 import stabsynth.simulator
 from conftest import random_code
 from stabsynth.circuit import GATE_KINDS, Circuit, Gate, to_json
-from stabsynth.cli import (
-    _compare_inputs,
-    _fixing_signs,
-    _load_circuit,
-    _load_code,
-    _logical_inputs,
-    main,
-)
+from stabsynth.cli import _load_circuit, _load_code, main
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.gf2 import solve as gf2_solve
 from stabsynth.library import SHIPPED_CODES, golden_circuit
 from stabsynth.pauli import PauliString
+from stabsynth.stabilizer import (
+    _pivot_product,
+    fixing_signs,
+    verify_counts,
+    zero_amplitude,
+)
 from stabsynth.simulator import (
     TOL,
     apply_pauli,
@@ -213,8 +215,39 @@ def test_verify_memory_does_not_grow_with_the_inputs(tmp_path):
     assert peak < 4 * 2**20
 
 
+def _logical_inputs(circuit, sf):
+    """(P_b, L_b) for every logical input b, in label order.
+
+    Input b is one Pauli away from input 0 on both sides: C|b> = P_b·C|0>
+    with P_b the product of the conjugated logical X's C·X_q·C†, and the
+    oracle's encoded |b> is L_b·|0_L> with L_b the product of
+    ``sf.logical_x``.
+    """
+    n = sf.n
+    conj_x = [
+        PauliString(1 << n - q, 0, n=n).conjugated_by(circuit.gates)
+        for q in circuit.logical_qubits()
+    ]
+    one = PauliString.identity(n)
+    inputs = [(one, one)]
+    for b in range(1, 2**sf.k):
+        low = b & -b  # b sets one more logical bit than b - low
+        p, ell = inputs[b - low]
+        j = sf.k - low.bit_length()
+        inputs.append((p * conj_x[j], ell * sf.logical_x[j]))
+    return inputs
+
+
 def _reference_compare(psi, phi, inputs, allow_frame):
-    """``_compare_inputs`` on all 2^n amplitudes of each input's image."""
+    """Each input's output P_b·psi against L_b·phi on all 2^n amplitudes.
+
+    Returns ``(consistent, matched, equations, quiet_signs)``: whether
+    every live index (either side at least 1e-10) agrees up to a sign, how
+    many inputs agree within TOL everywhere, the signs seen at live indices
+    as ``equations[flip, label]``, and per input (with ``allow_frame``)
+    whether a quiet index fits neither sign and the labels of the quiet
+    indices that fit only + and only -.
+    """
     indices = np.arange(psi.size)
     equations = np.zeros((2, psi.size), dtype=bool)
     psi_small = np.abs(psi) < 1e-10
@@ -245,53 +278,234 @@ def _reference_compare(psi, phi, inputs, allow_frame):
     return consistent, matched, equations, quiet_signs
 
 
-def _sorted_signs(quiet_signs):
-    return [(bool(neither), sorted(plus), sorted(minus))
-            for neither, plus, minus in quiet_signs]
+def _reference_decision(psi, phi, inputs, allow_frame):
+    """(consistent, matched, frame) from ``_reference_compare``.
+
+    The frame solves one equation per live index and input, and an input
+    matches under it when no quiet index fits only the sign it does not
+    get.
+    """
+    consistent, matched, equations, quiet_signs = _reference_compare(
+        psi, phi, inputs, allow_frame
+    )
+    frame = 0
+    if allow_frame and consistent:
+        flips, labels = equations.nonzero()
+        solved = gf2_solve(labels.tolist(), flips.tolist())
+        consistent = solved is not None
+        frame = solved or 0
+    if not consistent:
+        return False, 0, 0
+    if frame:
+        matched = sum(
+            not neither
+            and not any((label & frame).bit_count() % 2 for label in plus)
+            and all((label & frame).bit_count() % 2 for label in minus)
+            for neither, plus, minus in quiet_signs
+        )
+    return True, matched, frame
+
+
+def _random_edits(rng, circuit, count):
+    """``count`` seeded single-gate edits over all eight gate kinds."""
+    for _ in range(count):
+        circuit = _mutant(rng, circuit)
+    return circuit
 
 
 def test_compare_inputs_matches_the_full_comparison():
-    # Real encoders and mutants of random codes, with quiet amplitudes
-    # added at 0.4, 0.45, 0.6, 0.9 and 1.5 TOL: below TOL/2 an index is
-    # left out unless the other side reaches TOL/2, between TOL/2 and 1e-10
-    # it is read but quiet, and above 1e-10 it is live.  Each side of an
-    # index gets its own level or none, so input 0 sees it fit +, -, both
-    # or neither sign.
-    rng, noise = np.random.default_rng(12), np.random.default_rng(13)
-    levels = (0, 0.4, 0.45, 0.6, 0.9, 1.5)
+    # Real encoders of random codes, with random Clifford sandwiches and
+    # edits of any gate kind: the exact decision must give the dense
+    # comparison's match count and frame on every one.
+    rng = np.random.default_rng(12)
     seen = set()
-    for case in range(120):
+    for case in range(150):
         n = 3 + case % 4
         code = random_code(rng, n, int(rng.integers(1, min(n - 1, 3) + 1)))
         sf = code.standard_form()
         circuit = synthesize_encoder(sf, gate_set=("mixed", "cnot_cz")[case % 2])
-        if case % 3 == 2:
-            circuit = _mutant(rng, circuit)
+        circuit = _clifford_circuit(rng, circuit, case % 3 // 2)
         psi = run(circuit, logical_label(circuit, "0" * sf.k)).amps
         phi = projector_encode(sf, "0" * sf.k)
-        quiet = np.flatnonzero((np.abs(psi) < TOL) & (np.abs(phi.amps) < TOL))
-        # live noise on every fifth case only, so most cases stay consistent
-        top = len(levels) - (case % 5 > 0)
-        for i in noise.choice(quiet, min(4, quiet.size), replace=False):
-            for amps in (psi, phi.amps):
-                level = levels[int(noise.integers(top))]
-                amps[i] = level * TOL * 1j ** int(noise.integers(4))
         inputs = _logical_inputs(circuit, sf)
         for allow_frame in (False, True):
-            want = _reference_compare(psi, phi, inputs, allow_frame)
-            got = _compare_inputs(psi, phi, inputs, allow_frame)
-            assert got[:2] == want[:2], case
-            assert np.array_equal(got[2], want[2]), case
-            assert _sorted_signs(got[3]) == _sorted_signs(want[3]), case
-            consistent, matched, equations, signs = want
+            want = _reference_decision(psi, phi, inputs, allow_frame)
+            got = verify_counts(circuit, sf, allow_frame)[1:]
+            assert got == want[1:], case
+            consistent, matched, frame = want
             seen.add(("consistent", consistent))
             seen.add(("partial", 0 < matched < len(inputs)))
-            seen.add(("flip", bool(equations[1].any())))
-            for neither, plus, minus in signs:
-                seen |= {("neither", neither), ("plus", bool(plus)),
-                         ("minus", bool(minus))}
-    # every outcome the reference can report occurs at least once
+            seen.add(("frame", bool(frame)))
+    # every outcome occurs at least once
     assert {(tag, True) for tag, _ in seen} <= seen
+    assert {(tag, False) for tag, _ in seen} <= seen
+
+
+def _inverse(gates):
+    """C† as gates: C's in reverse, each its own inverse but S (S·Z)."""
+    out = []
+    for gate in reversed(gates):
+        out.append(gate)
+        if gate.kind == "S":
+            out.append(Gate("Z", gate.q))
+    return out
+
+
+def _random_gates(rng, n, count):
+    return list(_random_edits(
+        rng, Circuit(n=n, gates=(), roles=("ancilla_zero",) * n), count
+    ).gates)
+
+
+def _sandwich(rng, circuit):
+    """U·M·U† inserted at a random point of ``circuit``.
+
+    U is up to five random gates of any kind, so the state inside is
+    nothing like the encoder's and H often meets a partner.  M is nothing,
+    a random Pauli gate, X·Z·X·Z (a global -1) or (H·S)^3 (a global
+    e^(iπ/4)).
+    """
+    n = circuit.n
+    u = _random_gates(rng, n, int(rng.integers(1, 6)))
+    q = (int(rng.integers(n)) + 1,)
+    middle = [
+        [],
+        [],
+        [Gate(str(rng.choice(["X", "Y", "Z"])), q)],
+        [Gate("X", q), Gate("Z", q)] * 2,
+        [Gate("H", q), Gate("S", q)] * 3,
+    ][int(rng.integers(5))]
+    pos = int(rng.integers(len(circuit.gates) + 1))
+    gates = list(circuit.gates)
+    gates[pos:pos] = u + middle + _inverse(u)
+    return circuit.replace_gates(gates)
+
+
+def _clifford_circuit(rng, encoder, edits):
+    """A random Clifford circuit that is often close to ``encoder``.
+
+    One time in eight it is ``3 * edits`` random gates with the encoder's
+    roles.  Otherwise the encoder may get a diagonal gate on its inputs
+    first (Z, S or CZ, a logical gate that leaves input 0 alone) and Z
+    gates last (a frame), then up to three sandwiches and ``edits``
+    single-gate edits.
+    """
+    if rng.integers(8) == 0:
+        return encoder.replace_gates(_random_gates(rng, encoder.n, 3 * edits))
+    gates = list(encoder.gates)
+    logical = encoder.logical_qubits()
+    kinds = ["Z", "S"] + ["CZ"] * (len(logical) > 1)
+    if rng.integers(2):
+        kind = str(rng.choice(kinds))
+        wires = rng.choice(logical, 1 + (kind == "CZ"), replace=False)
+        gates.insert(0, Gate(kind, tuple(int(w) for w in wires)))
+    if rng.integers(2):
+        count = int(rng.integers(1, min(3, encoder.n) + 1))
+        for q in rng.choice(encoder.n, count, replace=False):
+            gates.append(Gate("Z", (int(q) + 1,)))
+    circuit = encoder.replace_gates(gates)
+    for _ in range(int(rng.integers(4))):
+        circuit = _sandwich(rng, circuit)
+    return _random_edits(rng, circuit, edits)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["eight_qubit", "steane", 3, 4, 5, 6, 7, 8]),
+    st.sampled_from(["mixed", "cnot_cz"]),
+    st.sampled_from([0, 0, 0, 0, 1, 3]),
+)
+def test_verify_matches_the_reference_on_random_clifford_circuits(
+    tmp_path_factory, seed, code, gate_set, edits
+):
+    # Sandwiches and edits put H mid-circuit on states whose tracked index
+    # must move, and Pauli gates and global phases between them.
+    rng = np.random.default_rng(seed)
+    work = tmp_path_factory.mktemp("clifford")
+    if isinstance(code, str):
+        spec, sf = code, _load_code(code).standard_form()
+    else:
+        random = random_code(rng, code, int(rng.integers(1, min(code - 1, 3) + 1)))
+        spec, sf = work / "code.stab", random.standard_form()
+        spec.write_text(_stab_text(random))
+    circuit = _clifford_circuit(rng, synthesize_encoder(sf, gate_set=gate_set), edits)
+    path = work / "circuit.json"
+    path.write_text(to_json(circuit))
+    reference = _reference_verify(str(spec), str(path))
+    for allow_frame, want in reference.items():
+        assert _cli_verify(spec, path, allow_frame) == want, allow_frame
+
+
+def test_logical_cz_on_an_encoder_matches_three_of_four(tmp_path):
+    # CZ on the two input wires before a correct [[4, 2, 2]] encoder is a
+    # logical CZ: input 11 comes out negated.  That is one sign for the
+    # whole state, so every input agrees up to signs and three match; the
+    # signs are b1·b2, which no Z frame produces, so the frame finds none.
+    spec = tmp_path / "c422.stab"
+    spec.write_text("name: c422\nn: 4\nk: 2\nXXXX\nZZZZ\n")
+    sf = _load_code(str(spec)).standard_form()
+    encoder = synthesize_encoder(sf, gate_set="mixed")
+    a, b = encoder.logical_qubits()
+    path = tmp_path / "cz.json"
+    path.write_text(to_json(encoder.replace_gates((Gate("CZ", (a, b)),) + encoder.gates)))
+    reference = _reference_verify(str(spec), str(path))
+    assert reference == {
+        False: (1, "stabilized basis states: 4/4\n"
+                   "projector-oracle matches: 3/4\nFAIL\n"),
+        True: (1, "stabilized basis states: 4/4\n"
+                  "projector-oracle matches: 0/4\nFAIL\n"),
+    }
+    for allow_frame, want in reference.items():
+        assert _cli_verify(spec, path, allow_frame) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(0, 30))
+def test_zero_amplitude_is_the_dense_amplitude(seed, n, count):
+    # Random gates of all eight kinds: the tracked amplitude of C|0…0> is
+    # exactly the dense one, and the index moves whenever an H empties it.
+    rng = np.random.default_rng(seed)
+    circuit = _random_edits(
+        rng, Circuit(n=n, gates=(), roles=("ancilla_zero",) * n), count
+    )
+    index, m, d = zero_amplitude(circuit.gates, n)
+    amps = run(circuit).amps
+    want = np.exp(1j * np.pi * m / 4) / np.sqrt(2.0) ** d
+    assert abs(amps[index] - want) < 1e-12
+    # a stabilizer state's amplitudes all share the size of this one
+    assert np.allclose(np.abs(amps[np.abs(amps) > 1e-9]), abs(want))
+
+
+def test_zero_amplitude_moves_the_index_when_h_empties_it():
+    # X then H makes |->, whose amplitude at 1 is -1/√2; a second H makes
+    # |1>, which has no amplitude at 0 and the partner is read through the
+    # row -X.  H·S·H on |0>: S|+> has a partner that differs by i, so
+    # both halves stay nonzero, at (1 ± i)/2.
+    gates = (Gate("X", (1,)), Gate("H", (1,)))
+    assert zero_amplitude(gates, 1) == (1, 4, 1)
+    assert zero_amplitude(gates + (Gate("H", (1,)),), 1) == (1, 0, 0)
+    gates = (Gate("H", (1,)), Gate("S", (1,)), Gate("H", (1,)))
+    index, m, d = zero_amplitude(gates, 1)
+    amps = run(Circuit(n=1, gates=gates, roles=("ancilla_zero",))).amps
+    assert (index, m, d) == (0, 1, 1)
+    assert abs(amps[0] - (1 + 1j) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pivot_products_read_the_projector_state(seed):
+    # The oracle |0_L> holds i^c/√2^r at the X part of each product of
+    # X-pivot generators and nothing elsewhere; index 0…0 holds 1/√2^r.
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 6
+    sf = random_code(rng, n, int(rng.integers(1, n))).standard_form()
+    amps = projector_encode(sf, "0" * sf.k).amps
+    want = np.zeros(2**n, dtype=complex)
+    for y in range(2**n):
+        x, _, c = _pivot_product(sf, y)
+        want[x] = 1j**c / np.sqrt(2.0) ** sf.r
+    assert np.allclose(amps, want, atol=1e-12)
+    assert abs(amps[0] - 2.0 ** (-sf.r / 2)) < 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -312,7 +526,7 @@ def test_fixing_signs_match_dense_check_stabilized(seed, n, encode, extra):
     for _ in range(extra):
         circuit = _mutant(rng, circuit)
     state = run(circuit, "0" * n)
-    got = _fixing_signs(circuit.gates, sf.generators)
+    got = fixing_signs(circuit.gates, sf.generators)
     for g, sign in zip(sf.generators, got):
         minus_g = PauliString(g.x, g.z, g.phase_exp + 2, n=n)
         assert (sign == 0, sign == 1) == (
@@ -322,8 +536,9 @@ def test_fixing_signs_match_dense_check_stabilized(seed, n, encode, extra):
 
 @pytest.mark.parametrize("allow_frame", [False, True])
 def test_verify_simulates_only_input_zero(tmp_path, monkeypatch, allow_frame):
-    # thirteen_qubit has 2^7 inputs; each side is simulated once, and no
-    # 2^n-amplitude Pauli image or dense stabilizer check is made.
+    # thirteen_qubit has 2^7 inputs; verify decides them all without
+    # simulating either side: no run, no projector expansion, no Pauli
+    # image and no dense stabilizer check.
     path = tmp_path / "golden.json"
     path.write_text(to_json(golden_circuit("thirteen_qubit")))
     calls = {}
@@ -334,10 +549,8 @@ def test_verify_simulates_only_input_zero(tmp_path, monkeypatch, allow_frame):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
 
-        for module in (stabsynth.simulator, stabsynth.cli):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(stabsynth.simulator, name, counted)
     rc, out = _cli_verify("thirteen_qubit", path, allow_frame)
     # the golden passes only after its frame
     assert rc == (0 if allow_frame else 1)
-    assert calls == {"run": 1, "projector_encode": 1}
+    assert calls == {}
