@@ -56,6 +56,8 @@ def _load_code(spec: str) -> library.CodeDefinition:
         return library.load_code(spec)
     except (FileNotFoundError, library.StabParseError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
+    except OSError as exc:
+        raise _InputError(f"cannot read code file {spec!r}: {exc}") from exc
 
 
 def _load_circuit(path: str) -> Circuit:

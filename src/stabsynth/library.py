@@ -210,10 +210,10 @@ def load_code(spec: str | Path) -> CodeDefinition:
     """Resolve ``spec`` to a code: a .stab path, or a shipped code name.
 
     Shipped names may be given with or without the ``.stab`` suffix;
-    an existing file path always wins.
+    an existing file always wins, and a directory never does.
     """
     p = Path(spec)
-    if p.exists():
+    if p.is_file():
         return load_stab(p)
     name = p.name
     if name.endswith(".stab"):

@@ -22,17 +22,17 @@ parsing.  The bits still give the X/Z decomposition of each letter, which
 is what every linear-algebra consumer (check matrices, syndromes, standard
 form) uses: the check-matrix row of a string is ``x << n | z``.
 
-Multiplication XORs the bits and tracks the phase letter by letter: a
-cyclic pair (XY, YZ, ZX) picks up i, an anticyclic pair (YX, ZY, XZ)
-picks up -i, and equal letters or an identity pick up nothing.  Each kind
-of pair is one bit mask, so the phase is a difference of two popcounts.
+The algebra works on a second form, three ints (x, z, c) meaning
+i^c·X^x·Z^z, so c = phase_exp + |x & z| (Y = iXZ).  ``multiply`` and
+``conjugate`` take and return it; ``PauliString.xzc`` and ``from_xzc``
+convert.
 """
 
 from __future__ import annotations
 
 from .gf2 import as_bits
 
-__all__ = ["PauliString", "conjugate"]
+__all__ = ["PauliString", "conjugate", "multiply"]
 
 _LETTERS = "IXZY"  # indexed by x + 2 * z
 _PREFIXES = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
@@ -106,6 +106,15 @@ class PauliString:
     def __repr__(self) -> str:
         return f"PauliString({str(self)!r})"
 
+    def xzc(self) -> tuple[int, int, int]:
+        """This operator as (x, z, c), meaning i^c·X^x·Z^z."""
+        return self.x, self.z, self.phase_exp + (self.x & self.z).bit_count()
+
+    @classmethod
+    def from_xzc(cls, x: int, z: int, c: int, n: int) -> "PauliString":
+        """The operator i^c·X^x·Z^z on n qubits."""
+        return cls(x, z, c - (x & z).bit_count(), n=n)
+
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
@@ -114,18 +123,7 @@ class PauliString:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("length mismatch")
-        x1, z1, x2, z2 = self.x, self.z, other.x, other.z
-        lx1, ly1, lz1 = x1 & ~z1, x1 & z1, z1 & ~x1
-        lx2, ly2, lz2 = x2 & ~z2, x2 & z2, z2 & ~x2
-        cyclic = (lx1 & ly2) | (ly1 & lz2) | (lz1 & lx2)
-        anticyclic = (ly1 & lx2) | (lz1 & ly2) | (lx1 & lz2)
-        return PauliString(
-            x1 ^ x2,
-            z1 ^ z2,
-            self.phase_exp + other.phase_exp
-            + cyclic.bit_count() - anticyclic.bit_count(),
-            n=self.n,
-        )
+        return self.from_xzc(*multiply(self.xzc(), other.xzc()), self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
@@ -145,11 +143,7 @@ class PauliString:
         amplitude for amplitude, with no global-phase slack.  ``conjugate``
         does the work on the operator's bits.
         """
-        x, z, c = conjugate(
-            self.x, self.z, self.phase_exp + (self.x & self.z).bit_count(),
-            gates, self.n,
-        )
-        return PauliString(x, z, c - (x & z).bit_count(), n=self.n)
+        return self.from_xzc(*conjugate(*self.xzc(), gates, self.n), self.n)
 
     def commutes_with(self, other: "PauliString") -> bool:
         """True iff the two operators commute (symplectic product = 0)."""
@@ -159,6 +153,15 @@ class PauliString:
     def weight(self) -> int:
         """Number of non-identity letters."""
         return (self.x | self.z).bit_count()
+
+
+def multiply(p, q) -> tuple[int, int, int]:
+    """The product p·q of two (x, z, c) Paulis, c reduced mod 4.
+
+    Moving q's X^x past p's Z^z gives a sign per qubit where both are set.
+    """
+    c = p[2] + q[2] + 2 * (p[1] & q[0]).bit_count()
+    return p[0] ^ q[0], p[1] ^ q[1], c & 3
 
 
 def conjugate(x: int, z: int, c: int, gates, n: int) -> tuple[int, int, int]:

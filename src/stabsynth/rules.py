@@ -2,18 +2,17 @@
 
 Every rule is an exact unitary identity on its local window — no global
 phase slack — and a rule carrying ``zero_slots`` claims the identity only
-on the subspace where those qubits are |0>.  ``register`` checks each
-claim by running both sides on every basis input of the rule's (at most
-three) qubits, so an unsound rule cannot enter the registry.  The same
-module hosts the syntactic commutation test used to slide gates past each
-other; it too is verified exhaustively at import time.
+on the subspace where those qubits are |0>.  ``register`` proves each
+claim with ``stabilizer.same_on``, so an unsound rule cannot enter the
+registry.  The same module hosts the syntactic commutation test used to
+slide gates past each other; it too is proven at import time, pair by
+pair.
 
-Both checks are exact and need no numpy.  Every gate of the alphabet but
-H moves amplitudes or multiplies them by ±1 or ±i, and H without its
-1/√2 adds and subtracts them, so a side's columns are Gaussian integers
-times (1/√2)^h, h its number of H gates.  Two sides are equal exactly
-when their integer columns agree once scaled to a common power of √2:
-there is no tolerance, and a side that is off by a global phase fails.
+Both proofs are exact and need no numpy.  For C = replacement†·pattern,
+``same_on`` checks that C|0…0> is |0…0> with amplitude exactly 1, and
+that C·X_q·C† is X_q times Z's on zero slots only for every qubit q not
+a zero slot; together they say that C fixes every allowed basis input.
+There is no tolerance, and a side that is off by a global phase fails.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .circuit import Gate, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS
+from .stabilizer import same_on
 
 __all__ = [
     "REGISTRY",
@@ -30,65 +30,6 @@ __all__ = [
     "register",
     "rule",
 ]
-
-
-def _run_exact(gates, n: int, inputs) -> tuple[int, list[list[tuple[int, int]]]]:
-    """Each basis input in ``inputs`` run through ``gates`` on qubits 1..n.
-
-    Returns ``(h, columns)``: ``columns[j]`` holds the output for
-    ``inputs[j]`` as Gaussian integers, (real, imaginary) int pairs, and
-    the true output is that column times (1/√2)^h, h the number of H
-    gates.  Qubit 1 is the most significant bit of a basis index.
-    """
-    columns = []
-    for b in inputs:
-        amps = [(0, 0)] * (1 << n)
-        amps[b] = (1, 0)
-        for gate in gates:
-            amps = _apply_exact(gate, n, amps)
-        columns.append(amps)
-    return sum(g.kind == "H" for g in gates), columns
-
-
-def _apply_exact(gate: Gate, n: int, amps):
-    """``amps`` after ``gate``, H without its 1/√2."""
-    t = 1 << (n - gate.q[-1])
-    c = 1 << (n - gate.q[0]) if len(gate.q) == 2 else 0
-    kind = gate.kind[-1]  # a controlled gate acts as its target's kind
-    out = list(amps)
-    for i, (re, im) in enumerate(amps):
-        if i & c != c:
-            continue  # control is 0
-        if kind == "X":
-            out[i ^ t] = (re, im)
-        elif kind == "Y":  # Y|0> = i|1>, Y|1> = -i|0>
-            out[i ^ t] = (im, -re) if i & t else (-im, re)
-        elif kind == "H":
-            other_re, other_im = amps[i ^ t]
-            out[i] = ((other_re - re, other_im - im) if i & t
-                      else (re + other_re, im + other_im))
-        elif i & t:
-            out[i] = (-re, -im) if kind == "Z" else (-im, re)  # Z, or S: i
-    return out
-
-
-def _same_operator(lhs, rhs) -> bool:
-    """Whether two ``_run_exact`` results are equal, global phase included.
-
-    (1/√2)^h1·a = (1/√2)^h2·b holds for nonzero Gaussian-integer columns
-    a and b only when h1 - h2 is even, and then exactly when
-    2^((top - h1)/2)·a = 2^((top - h2)/2)·b, top = max(h1, h2).
-    """
-    (h1, cols1), (h2, cols2) = lhs, rhs
-    if (h1 - h2) % 2:
-        return False
-    top = max(h1, h2)
-    s1, s2 = 1 << ((top - h1) // 2), 1 << ((top - h2) // 2)
-    return all(
-        re1 * s1 == re2 * s2 and im1 * s1 == im2 * s2
-        for col1, col2 in zip(cols1, cols2, strict=True)
-        for (re1, im1), (re2, im2) in zip(col1, col2, strict=True)
-    )
 
 
 @dataclass(frozen=True)
@@ -119,14 +60,8 @@ class RewriteRule:
 
     def verify(self) -> None:
         n = self.arity
-        inputs = [
-            b for b in range(2 ** n)
-            if not any(b >> (n - s) & 1 for s in self.zero_slots)
-        ]
-        if not _same_operator(
-            _run_exact(self.pattern, n, inputs),
-            _run_exact(self.replacement, n, inputs),
-        ):
+        zero = sum(1 << n - s for s in self.zero_slots)
+        if not same_on(self.pattern, self.replacement, n, zero):
             raise AssertionError(
                 f"rewrite rule {self.name!r} is not a unitary identity"
             )
@@ -299,9 +234,10 @@ def _verify_commutation_predicate() -> None:
     """Check ``gates_commute`` exactly on every pair of gates on qubits 1..3.
 
     Gates on disjoint qubits always commute, so only a pair that shares a
-    qubit and that the predicate passes is run: a·b against b·a, on the
-    pair's union of qubits renumbered 1..m (m ≤ 3).  Renumbered pairs
-    repeat, and a·b = b·a is symmetric, so each is run once.
+    qubit and that the predicate passes is checked: a·b against b·a by
+    ``same_on``, on the pair's union of qubits renumbered 1..m (m ≤ 3).
+    Renumbered pairs repeat, and a·b = b·a is symmetric, so each is
+    checked once.
     """
     gates = [Gate(k, (q,)) for k in ONE_QUBIT_KINDS for q in (1, 2, 3)]
     gates += [
@@ -320,11 +256,7 @@ def _verify_commutation_predicate() -> None:
             la, lb = (Gate(g.kind, [wires[q] for q in g.q]) for g in (a, b))
             key = frozenset((la, lb))
             if key not in commute:
-                inputs = range(2 ** len(wires))
-                commute[key] = _same_operator(
-                    _run_exact((lb, la), len(wires), inputs),
-                    _run_exact((la, lb), len(wires), inputs),
-                )
+                commute[key] = same_on((la, lb), (lb, la), len(wires))
             if not commute[key]:
                 raise AssertionError(
                     f"commutation predicate wrongly passes {a} and {b}"

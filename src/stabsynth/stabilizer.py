@@ -1,15 +1,13 @@
-"""Exact `stabsynth verify` for Clifford circuits, without statevectors.
+"""Exact Clifford decisions without statevectors: `stabsynth verify`, and
+the equality test that proves every rewrite rule.
 
 Every gate kind is Clifford, so C|0…0> and the oracle's encoded |0_L> are
 stabilizer states: each has a stabilizer group of n independent Paulis,
 its support is an affine space, and every amplitude on it has the same
 size and a phase that is a power of e^(iπ/4).  A Pauli here is three
 ints (x, z, c) meaning i^c·X^x·Z^z, with the ``gf2`` bit layout (qubit 1
-the most significant bit).  Two such Paulis multiply as
-
-    (x1, z1, c1)·(x2, z2, c2) = (x1^x2, z1^z2, c1 + c2 + 2·|z1 & x2|),
-
-and one applied to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
+the most significant bit), multiplied by ``pauli.multiply``.  One applied
+to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
 
 - **C|0…0>** (``zero_amplitude``) is tracked as its n stabilizer rows
   C·Z_q·C† (Aaronson and Gottesman, quant-ph/0406196) plus one index of
@@ -18,6 +16,10 @@ and one applied to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   of i.  An H on qubit q mixes the index with its partner index ^ q: when
   some product of rows has X part q alone, the partner is in the support
   and that product gives its amplitude from the tracked one.
+- **Equality** (``same_on``).  Two gate lists agree on the basis inputs
+  with some qubits at |0> exactly when C = rhs†·lhs fixes |0…0>, read by
+  ``zero_amplitude``, and conjugates each other qubit's X to itself times
+  Z's on the |0> qubits alone.
 - **|0_L>** is read at any index y from the standard form's X-pivot
   generators: the product of those selected by y's first r bits has some
   X part x, and the amplitude is i^c/√2^r when x = y and 0 otherwise
@@ -36,25 +38,19 @@ and one applied to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   tests on ω_b: input b agrees up to a sign per index when ω_b is real,
   and matches when ω_b = 1 and F_b = 0.
 
-The cost is about n²·gates: 2n + k Paulis conjugated through the gates,
-and an elimination of the n rows at each H.  Then each of the 2^k inputs
-takes a few int operations.  Memory is the n rows; nothing is kept per
-input.
+The cost of ``verify_counts`` is about n²·gates: 2n + k Paulis conjugated
+through the gates, and an elimination of the n rows at each H.  Then each
+of the 2^k inputs takes a few int operations.  Memory is the n rows;
+nothing is kept per input.
 """
 
 from __future__ import annotations
 
 from .circuit import Gate
 from .gf2 import rank, solve
-from .pauli import conjugate
+from .pauli import conjugate, multiply
 
-__all__ = ["fixing_signs", "zero_amplitude", "verify_counts"]
-
-
-def _mul(p, q):
-    """The product p·q of two (x, z, c) Paulis, c reduced mod 4."""
-    c = p[2] + q[2] + 2 * (p[1] & q[0]).bit_count()
-    return p[0] ^ q[0], p[1] ^ q[1], c & 3
+__all__ = ["fixing_signs", "same_on", "zero_amplitude", "verify_counts"]
 
 
 def _anticommute(x: int, z: int, g) -> int:
@@ -76,15 +72,29 @@ def _with_x(rows, target: int):
             if top not in pivots:
                 pivots[top] = row
                 break
-            row = _mul(row, pivots[top])
+            row = multiply(row, pivots[top])
     product = (0, 0, 0)
     while target:
         pivot = pivots.get(target.bit_length())
         if pivot is None:
             return None
-        product = _mul(product, pivot)
+        product = multiply(product, pivot)
         target ^= pivot[0]
     return product
+
+
+def _inverse(gates) -> list[Gate]:
+    """The gates of C† for the circuit C that applies ``gates`` in order.
+
+    C† applies the gates in reverse, each its own inverse but S, whose
+    inverse is S·Z.
+    """
+    inverse = []
+    for gate in reversed(gates):
+        inverse.append(gate)
+        if gate.kind == "S":
+            inverse.append(Gate("Z", gate.q))
+    return inverse
 
 
 def fixing_signs(gates, paulis) -> list[int | None]:
@@ -92,14 +102,9 @@ def fixing_signs(gates, paulis) -> list[int | None]:
 
     psi = C|0...0> for the circuit C that applies ``gates`` in order.  g
     fixes psi exactly when C†·g·C fixes |0...0>, that is when C†·g·C is
-    +Z^z, and -g fixes psi when it is -Z^z.  C† applies the gates in
-    reverse, each its own inverse but S, whose inverse is S·Z.
+    +Z^z, and -g fixes psi when it is -Z^z.
     """
-    inverse = []
-    for gate in reversed(gates):
-        inverse.append(gate)
-        if gate.kind == "S":
-            inverse.append(Gate("Z", gate.q))
+    inverse = _inverse(gates)
     signs = []
     for g in paulis:
         pulled = g.conjugated_by(inverse)
@@ -162,13 +167,38 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
     return index, m & 7, d
 
 
+def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
+    """Whether gate lists ``lhs`` and ``rhs`` act alike on qubits 1..n.
+
+    Alike means equal, global phase included, on every basis input with
+    no bit of ``zero`` set (``gf2`` layout).  That holds exactly when
+    C = rhs†·lhs fixes each such input b, and it does exactly when
+
+    - C|0…0> = |0…0>, which ``zero_amplitude`` reads as (0, 0, 0), and
+    - C·X_q·C† = X_q·Z^z with no bit of z free, for every free qubit q,
+
+    since then C|b> = C·X^b·C†·C|0…0> = |b>.  Both are needed: CZ(1, 2)
+    fixes |0…0>, and only the second rejects it as the identity.
+    """
+    gates = [*lhs, *_inverse(rhs)]
+    if zero_amplitude(gates, n) != (0, 0, 0):
+        return False
+    free = (1 << n) - 1 & ~zero
+    for q in range(n):
+        a = 1 << q
+        if a & free:
+            x, z, c = conjugate(a, 0, 0, gates, n)
+            if x != a or z & free or c:
+                return False
+    return True
+
+
 def _pivot_product(sf, y: int):
     """The product of the X-pivot generators i < r with column i of y set."""
     product = (0, 0, 0)
     for i, g in enumerate(sf.generators[:sf.r]):
         if y >> sf.n - 1 - i & 1:
-            own = (g.x, g.z, g.phase_exp + (g.x & g.z).bit_count())
-            product = _mul(product, own)
+            product = multiply(product, g.xzc())
     return product
 
 
@@ -241,7 +271,7 @@ def _match(gates, sf, signs, conj_x, allow_frame):
     for t in range(1 << k):
         if t:
             p_j, piv_j, flips, minus = steps[(t & -t).bit_length() - 1]
-            p, piv = _mul(p, p_j), _mul(piv, piv_j)
+            p, piv = multiply(p, p_j), multiply(piv, piv_j)
             frame ^= flips
             predicted ^= minus
         e = omega(p, piv)

@@ -59,6 +59,40 @@ def test_synth_unknown_code_exits_2(capsys):
     assert err.startswith("error:")
 
 
+def test_a_directory_named_like_a_code_is_not_read(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    for name in ("steane", "steane.stab", "mine"):
+        (tmp_path / name).mkdir()
+    code, out, _ = run_cli(capsys, "synth", "steane", "-o", "steane.json")
+    assert code == 0
+    for spec in ("steane", "steane.stab"):
+        code, out, _ = run_cli(capsys, "verify", spec, "steane.json")
+        assert (code, out.splitlines()[-1]) == (0, "PASS")
+    code, out, err = run_cli(capsys, "synth", "mine")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no such code or file: 'mine'")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_code_file_exits_2(capsys, tmp_path, monkeypatch):
+    stab = tmp_path / "locked.stab"
+    stab.write_text("name: locked\nn: 3\nk: 1\nZZI\nIZZ\n")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    for argv in (("synth", str(stab)), ("verify", str(stab), "c.json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cannot read code file {str(stab)!r}: "
+            f"[Errno 13] Permission denied: {str(stab)!r}\n"
+        )
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["synth", "eight_qubit", "--fast"])
@@ -460,8 +494,8 @@ def test_export_qasm(capsys, mixed_eight, tmp_path):
 # Run in a fresh interpreter with numpy blocked: importing the CLI, then
 # running every command but simulate, with and without a frame for
 # verify, leaves numpy and the simulator unloaded, and no command but
-# optimize loads the optimizer stack.  Simulate runs last, with numpy
-# unblocked.
+# optimize loads the optimizer stack.  Then `rules`, whose import proves
+# its templates, loads neither.  Simulate runs last, with numpy unblocked.
 _NUMPY_FREE = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy raises ImportError
@@ -492,9 +526,11 @@ for argv, want in (
 ):
     assert main(argv) == want, argv
     unloaded(argv)
+import stabsynth.rules  # proves its templates and commutation test exactly
+unloaded("rules", {"numpy", "stabsynth.simulator"})
 del sys.modules["numpy"]
 assert main(["simulate", "steane", "--error", "X@3"]) == 0
-unloaded("simulate", OPTIMIZER)
+unloaded("simulate", OPTIMIZER - {"stabsynth.rules"})
 """
 
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from stabsynth import rules
-from stabsynth.circuit import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, Gate
+from stabsynth import rules, stabilizer
+from stabsynth.circuit import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
+from stabsynth.pauli import conjugate
 from stabsynth.rules import REGISTRY, RewriteRule, gates_commute, register, rule
-from stabsynth.simulator import StateVector, apply_gate
+from stabsynth.simulator import StateVector, apply_gate, circuits_equivalent
+from stabsynth.stabilizer import same_on
 
 
 def test_registry_holds_verified_rules():
@@ -14,34 +17,6 @@ def test_registry_holds_verified_rules():
     for name, r in REGISTRY.items():
         assert r.name == name
         r.verify()  # exact unitary identity, no tolerance slack
-
-
-def _per_column_unitary(gates, n):
-    """The unitary as it was built before: one state per column, gate by gate."""
-    u = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for col in range(2**n):
-        state = StateVector(n)
-        state.amps[0], state.amps[col] = 0.0, 1.0
-        for gate in gates:
-            apply_gate(state, gate)
-        u[:, col] = state.amps
-    return u
-
-
-def test_exact_columns_match_the_dense_unitary():
-    # Every registered rule's two sides, on its arity and on three qubits
-    # (the commutation check's largest size): the Gaussian-integer columns
-    # times (1/√2)^h against the dense simulator's unitary.
-    for r in REGISTRY.values():
-        for gates in (r.pattern, r.replacement):
-            for n in {r.arity, 3}:
-                h, columns = rules._run_exact(gates, n, range(2**n))
-                assert h == sum(g.kind == "H" for g in gates)
-                exact = np.array(
-                    [[complex(re, im) for re, im in col] for col in columns]
-                ).T * 2 ** (-h / 2)
-                want = _per_column_unitary(gates, n)
-                assert np.allclose(exact, want, rtol=0, atol=1e-12), (r.name, n)
 
 
 def test_register_rejects_a_global_phase_error():
@@ -54,20 +29,106 @@ def test_register_rejects_a_global_phase_error():
     RewriteRule("xzxz_twice", xzxz * 2, ()).verify()
 
 
-def test_exact_check_compares_powers_of_root_two():
-    h, s = Gate("H", (1,)), Gate("S", (1,))
-    identity = rules._run_exact((), 1, range(2))
-    # H·H is I: columns (2, 0) and (0, 2) over two H's.
-    assert rules._same_operator(rules._run_exact((h, h), 1, range(2)), identity)
-    assert not rules._same_operator(rules._run_exact((h,), 1, range(2)), identity)
-    # (H·S)^3 is e^(iπ/4)·I: its columns are (2 + 2i)·I over three H's, an
-    # odd power of √2 that no identity over an even one can match.
-    hs3 = rules._run_exact((h, s) * 3, 1, range(2))
-    assert hs3 == (3, [[(2, 2), (0, 0)], [(0, 0), (2, 2)]])
-    assert not rules._same_operator(hs3, identity)
-    assert np.allclose(
-        _per_column_unitary((h, s) * 3, 1), np.exp(1j * np.pi / 4) * np.eye(2)
+# ---------------------------------------------------------------------------
+# same_on, the exact equality test behind every rule proof, against the
+# dense simulator
+
+
+def _inverse(gates):
+    """C† for the gate list C: reversed, with S† written as S·S·S."""
+    out = []
+    for g in reversed(gates):
+        out += [g] * (3 if g.kind == "S" else 1)
+    return out
+
+
+@st.composite
+def _gate_lists(draw, n, max_size):
+    """Up to ``max_size`` gates of all eight kinds on qubits 1..n."""
+    kinds = ONE_QUBIT_KINDS + (TWO_QUBIT_KINDS if n > 1 else ())
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
+        if kind in TWO_QUBIT_KINDS:
+            q = draw(st.permutations(range(1, n + 1)))[:2]
+        else:
+            q = (draw(st.integers(1, n)),)
+        gates.append(Gate(kind, tuple(q)))
+    return gates
+
+
+@st.composite
+def _same_on_cases(draw):
+    """(lhs, rhs, n, zero): a random pair, or U·M·U⁻¹ against nothing."""
+    n = draw(st.integers(1, 4))
+    zero = draw(st.integers(0, 2**n - 1))
+    if draw(st.booleans()):
+        lhs, rhs = draw(_gate_lists(n, 6)), draw(_gate_lists(n, 6))
+    else:
+        u = draw(_gate_lists(n, 8))
+        m = draw(st.sampled_from([[], *(
+            [Gate(k, (q,))] for k in "XYZ" for q in range(1, n + 1)
+        )]))
+        lhs, rhs = u + m + _inverse(u), []
+        if draw(st.booleans()):
+            lhs, rhs = rhs, lhs
+    return lhs, rhs, n, zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_on_cases())
+def test_same_on_matches_the_dense_reference(case):
+    lhs, rhs, n, zero = case
+    roles = [
+        "ancilla_zero" if zero >> n - q & 1 else "logical_input"
+        for q in range(1, n + 1)
+    ]
+    want = circuits_equivalent(
+        Circuit(n, lhs, roles), Circuit(n, rhs, roles),
+        "ancilla_restricted" if zero else "full",
+        up_to_global_phase=False,
     )
+    event(f"same: {want}")
+    assert same_on(lhs, rhs, n, zero) == want
+
+
+def test_same_on_named_cases():
+    h, s = Gate("H", (1,)), Gate("S", (1,))
+    assert same_on((h, h), (), 1)
+    assert not same_on((h,), (), 1)
+    # X·Z·X·Z is -I and (H·S)^3 is e^(iπ/4)·I: right up to a global phase
+    # only.  (H·S)^24 is I.
+    xzxz = [Gate(k, (1,)) for k in "XZXZ"]
+    assert not same_on(xzxz, (), 1)
+    assert not same_on((h, s) * 3, (), 1)
+    one = Circuit(1, (h, s) * 3, ("logical_input",))
+    assert circuits_equivalent(one, one.replace_gates(()), "full")
+    assert same_on((h, s) * 24, (), 1)
+    # CZ(1, 2) keeps |00> and conjugates X_1 to X_1·Z_2: only the Z-part
+    # condition rejects it, and a zero qubit 2 lets it pass.
+    cz = [Gate("CZ", (1, 2))]
+    assert stabilizer.zero_amplitude(cz, 2) == (0, 0, 0)
+    assert conjugate(0b10, 0, 0, cz, 2) == (0b10, 0b01, 0)
+    assert not same_on(cz, (), 2)
+    assert same_on(cz, (), 2, zero=0b01)
+    # A CX on a zero control is nothing; on a zero target it is not.
+    r = rule("cnot_zero_control_elision")
+    assert same_on(r.pattern, r.replacement, 2, zero=0b10)
+    moved = RewriteRule(
+        "cnot_zero_target_elision", r.pattern, r.replacement, frozenset({2}),
+    )
+    with pytest.raises(AssertionError, match="not a unitary identity"):
+        moved.verify()
+    # Every registered rule holds under the dense simulator as well.
+    for r in REGISTRY.values():
+        roles = [
+            "ancilla_zero" if q in r.zero_slots else "logical_input"
+            for q in range(1, r.arity + 1)
+        ]
+        assert circuits_equivalent(
+            Circuit(r.arity, r.pattern, roles),
+            Circuit(r.arity, r.replacement, roles),
+            "ancilla_restricted", up_to_global_phase=False,
+        ), r.name
 
 
 def test_lookup():
