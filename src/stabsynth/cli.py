@@ -12,19 +12,15 @@ export-qasm  render a circuit JSON file as OpenQASM 2.0
 Codes are named either by a ``.stab`` file path or by a shipped name
 (``eight_qubit``, ``steane``, ``thirteen_qubit``).  Exit codes: 0 on
 success, 1 when a verification fails, 2 on input errors (including
-unknown flags, and circuits or codes past the dense simulator's qubit
-limit).  All commands are deterministic: identical inputs produce
-byte-identical outputs.
+unknown flags, and circuits or codes past ``limits.MAX_QUBITS``).  All
+commands are deterministic: identical inputs give byte-identical outputs.
 
 Importing this module loads neither numpy, the dense simulator nor the
 optimizer stack (``optimizer``, whose ``rules`` import runs the exact
-template proofs, and ``linear``): ``optimize`` imports the optimizer where
-it first needs it, and the optimizer loads the simulator for its final
-proof; ``simulate`` imports numpy and the simulator where it first needs
-amplitudes.  ``verify`` loads neither: it imports ``stabilizer``, which
-decides every logical input exactly from stabilizer signs and one
-amplitude.  So ``synth``, ``syndromes``, ``export-qasm``, ``verify``,
-``--help`` and input errors start without any of them.
+template proofs, and ``linear``); only ``optimize`` loads them, for its
+rewrites and its dense final proof.  ``verify`` and ``simulate`` import
+``stabilizer``, which decides each logical input and lists each
+amplitude exactly from stabilizer rows, with no statevector.
 """
 
 from __future__ import annotations
@@ -45,6 +41,7 @@ from .syndrome import build_syndrome_table, format_table, syndrome_of
 __all__ = ["main"]
 
 _ERROR_SPEC = re.compile(r"^([XYZ])@([0-9]+)$")
+_UNIT = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
 class _InputError(Exception):
@@ -223,10 +220,11 @@ def _cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    from .simulator import DenseLimitError, apply_pauli, logical_label, run
+    from .limits import DenseLimitError, dense_size
+    from .stabilizer import amplitudes
 
     try:
-        state = run(encoder, logical_label(encoder, bits))
+        dense_size(sf.n)
     except DenseLimitError as exc:
         raise _InputError(str(exc)) from exc
     error = None
@@ -243,14 +241,16 @@ def _cmd_simulate(args) -> int:
         error = PauliString.parse(
             "".join(letter if x == qubit else "I" for x in range(1, sf.n + 1))
         )
-        state = apply_pauli(state, error)
+    d, amps = amplitudes(encoder, bits, error)
 
     print(f"code: {code.name}  logical: |{bits}>", end="")
     print(f"  error: {args.error}" if error is not None else "")
-    for label, amp in state.nonzero_labels():
-        # a part that rounds to zero prints as +0.0000, whatever its sign
-        real, imag = (round(v, 4) or 0.0 for v in (amp.real, amp.imag))
-        print(f"  {real:+.4f}{imag:+.4f}i |{label}>")
+    for index, m in amps:
+        # e^(iπ·m/4)/√2^d is _UNIT[m]/√2^(d + m % 2); a part that rounds
+        # to zero prints as +0.0000, whatever its sign
+        size = 2 ** -((d + m % 2) / 2)
+        real, imag = (round(v * size, 4) or 0.0 for v in _UNIT[m])
+        print(f"  {real:+.4f}{imag:+.4f}i |{index:0{sf.n}b}>")
     if error is not None:
         syndrome = syndrome_of(error, sf)
         print(f"syndrome: {syndrome:0{sf.m}b} (decimal {syndrome})")

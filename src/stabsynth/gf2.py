@@ -18,6 +18,7 @@ from itertools import combinations
 
 __all__ = [
     "as_bits",
+    "transpose",
     "rank",
     "invertible",
     "solve",
@@ -42,6 +43,21 @@ def as_bits(rows) -> tuple[int, ...]:
             bits = (bits << 1) | (int(b) & 1)
         out.append(bits)
     return tuple(out)
+
+
+def transpose(rows, width: int) -> list[int]:
+    """The ``width`` columns of ``rows`` as int rows, in this layout.
+
+    Row i of the input is bit i of each column counted from the top, so a
+    column of ``len(rows)`` bits has the first row as its leading bit.
+    """
+    if not rows:
+        return [0] * width
+    joined = 0
+    for row in rows:
+        joined = joined << width | row
+    bits = format(joined, f"0{width * len(rows)}b")
+    return [int(bits[j::width], 2) for j in range(width)]
 
 
 def _reduce(row: int, pivots: dict[int, int]) -> int:

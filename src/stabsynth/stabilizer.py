@@ -1,5 +1,5 @@
-"""Exact Clifford decisions without statevectors: `stabsynth verify`, and
-the equality test that proves every rewrite rule.
+"""Exact Clifford decisions without statevectors: `stabsynth verify` and
+`simulate`, and the equality test that proves every rewrite rule.
 
 Every gate kind is Clifford, so C|0…0> and the oracle's encoded |0_L> are
 stabilizer states: each has a stabilizer group of n independent Paulis,
@@ -9,6 +9,9 @@ ints (x, z, c) meaning i^c·X^x·Z^z, with the ``gf2`` bit layout (qubit 1
 the most significant bit), multiplied by ``pauli.multiply``.  One applied
 to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
 
+- **Conjugation** (``conjugate_rows``) maps every Pauli of a batch to
+  C·P·C† in one pass over the gates: a ``Tableau`` packs the batch by
+  column, so each gate is a few int operations for all rows at once.
 - **C|0…0>** (``zero_amplitude``) is tracked as its n stabilizer rows
   C·Z_q·C† (Aaronson and Gottesman, quant-ph/0406196) plus one index of
   its support and that index's amplitude, kept exactly as e^(iπ·m/4)/√2^d.
@@ -16,6 +19,9 @@ to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   of i.  An H on qubit q mixes the index with its partner index ^ q: when
   some product of rows has X part q alone, the partner is in the support
   and that product gives its amplitude from the tracked one.
+- **Amplitudes** (``amplitudes``).  E·C|b> is P·C|0…0> for one Pauli P,
+  and C|0…0> is the tracked amplitude carried across its support by the
+  products of its stabilizer rows, one product per index.
 - **Equality** (``same_on``).  Two gate lists agree on the basis inputs
   with some qubits at |0> exactly when C = rhs†·lhs fixes |0…0>, read by
   ``zero_amplitude``, and conjugates each other qubit's X to itself times
@@ -38,19 +44,110 @@ to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   tests on ω_b: input b agrees up to a sign per index when ω_b is real,
   and matches when ω_b = 1 and F_b = 0.
 
-The cost of ``verify_counts`` is about n²·gates: 2n + k Paulis conjugated
-through the gates, and an elimination of the n rows at each H.  Then each
-of the 2^k inputs takes a few int operations.  Memory is the n rows;
-nothing is kept per input.
+The cost of ``verify_counts`` is about n·gates big-int operations: two
+batches of at most n Paulis conjugated through the gates, plus an
+elimination of the n rows at each H whose qubit some row has an X on.
+Then each of the 2^k inputs takes a few int operations.  Memory is the n
+rows; nothing is kept per input.  ``amplitudes`` adds one Pauli product
+per nonzero amplitude.
 """
 
 from __future__ import annotations
 
 from .circuit import Gate
-from .gf2 import rank, solve
-from .pauli import conjugate, multiply
+from .gf2 import rank, solve, transpose
+from .pauli import multiply
 
-__all__ = ["fixing_signs", "same_on", "zero_amplitude", "verify_counts"]
+__all__ = [
+    "Tableau", "amplitudes", "conjugate_rows", "fixing_signs", "same_on",
+    "zero_amplitude", "verify_counts",
+]
+
+
+class Tableau:
+    """Paulis i^c·X^x·Z^z on n qubits, packed by column.
+
+    ``cols[q - 1]`` and ``cols[n + q - 1]`` hold qubit q's X and Z bits of
+    every row, the first row as the top bit, and ``cols[2n]`` and
+    ``cols[2n + 1]`` the bit planes c1 and c0 of c = c0 + 2·c1, so a gate
+    is a few int operations for all rows at once.
+    """
+
+    __slots__ = ("n", "count", "cols")
+
+    def __init__(self, rows, n: int):
+        self.n, self.count = n, len(rows)
+        packed = [(x << n | z) << 2 | c & 3 for x, z, c in rows]
+        self.cols = transpose(packed, 2 * n + 2)
+
+    def rows(self) -> list[tuple[int, int, int]]:
+        """Every row as (x, z, c), c reduced mod 4."""
+        n, mask = self.n, (1 << self.n) - 1
+        packed = transpose(self.cols, self.count)
+        return [(v >> n + 2, v >> 2 & mask, v & 3) for v in packed]
+
+    def conjugate(self, gates) -> None:
+        """Replace each row P by C·P·C†, C applying ``gates`` in order.
+
+        Each gate has a ``kind`` and 1-based qubits ``q``, as in
+        ``circuit.Gate``.  This is the Heisenberg-picture update of
+        Aaronson and Gottesman's stabilizer simulation, with c exact:
+        C·P|s> = (C·P·C†)·C|s> amplitude for amplitude.  With control bits
+        a and target bits b:
+
+        - H swaps x and z and adds 2 where both are set; S adds x to c and
+          XORs x into z; X, Y and Z add 2·z, 2·(x XOR z) and 2·x;
+        - CX XORs x_a into x_b and z_b into z_a; CZ XORs x_a into z_b and
+          x_b into z_a and adds 2·x_a·x_b; CY is S† on b, CX, S on b.
+        """
+        n, cols = self.n, self.cols
+        c1, c0 = cols[2 * n:]
+        for gate in gates:
+            kind, q = gate.kind, gate.q
+            a = q[0] - 1
+            xa, za = cols[a], cols[n + a]
+            if kind == "H":
+                c1 ^= xa & za
+                cols[a], cols[n + a] = za, xa
+            elif kind == "S":
+                c1 ^= c0 & xa
+                c0 ^= xa
+                cols[n + a] = za ^ xa
+            elif kind == "X":
+                c1 ^= za
+            elif kind == "Y":
+                c1 ^= xa ^ za
+            elif kind == "Z":
+                c1 ^= xa
+            else:
+                b = q[1] - 1
+                if kind == "CZ":
+                    c1 ^= xa & cols[b]
+                    cols[n + a] = za ^ cols[b]
+                    cols[n + b] ^= xa
+                    continue
+                if kind == "CY":  # S† on b: c - 1 where x_b is set
+                    c1 ^= cols[b] & ~c0
+                    c0 ^= cols[b]
+                    cols[n + b] ^= cols[b]
+                cols[b] ^= xa
+                cols[n + a] = za ^ cols[n + b]
+                if kind == "CY":
+                    c1 ^= c0 & cols[b]
+                    c0 ^= cols[b]
+                    cols[n + b] ^= cols[b]
+        cols[2 * n:] = c1, c0
+
+
+def conjugate_rows(rows, gates, n: int) -> list[tuple[int, int, int]]:
+    """C·P·C† for each P = i^c·X^x·Z^z in ``rows``, as the same three ints.
+
+    C applies ``gates`` in order; ``Tableau.conjugate`` does the work for
+    all rows at once.  Each returned c is reduced mod 4.
+    """
+    tableau = Tableau(rows, n)
+    tableau.conjugate(gates)
+    return tableau.rows()
 
 
 def _anticommute(x: int, z: int, g) -> int:
@@ -58,11 +155,11 @@ def _anticommute(x: int, z: int, g) -> int:
     return ((x & g.z) ^ (z & g.x)).bit_count() & 1
 
 
-def _with_x(rows, target: int):
-    """A product of ``rows`` whose X part is ``target``, or None.
+def _pivots(rows) -> dict[int, tuple[int, int, int]]:
+    """``rows`` eliminated on their X parts, as exact products.
 
-    Rows are eliminated on their X parts, each pivot keyed by its leading
-    bit and carried with its exact product; a row whose X part cancels
+    Each pivot is keyed by the leading bit of its X part, and the X parts
+    of the pivots span those of the rows; a row whose X part cancels
     takes no part.
     """
     pivots = {}
@@ -73,6 +170,12 @@ def _with_x(rows, target: int):
                 pivots[top] = row
                 break
             row = multiply(row, pivots[top])
+    return pivots
+
+
+def _with_x(rows, target: int):
+    """A product of ``rows`` whose X part is ``target``, or None."""
+    pivots = _pivots(rows)
     product = (0, 0, 0)
     while target:
         pivot = pivots.get(target.bit_length())
@@ -104,12 +207,11 @@ def fixing_signs(gates, paulis) -> list[int | None]:
     fixes psi exactly when C†·g·C fixes |0...0>, that is when C†·g·C is
     +Z^z, and -g fixes psi when it is -Z^z.
     """
-    inverse = _inverse(gates)
-    signs = []
-    for g in paulis:
-        pulled = g.conjugated_by(inverse)
-        signs.append(None if pulled.x else {0: 0, 2: 1}.get(pulled.phase_exp))
-    return signs
+    if not paulis:
+        return []
+    rows = [g.xzc() for g in paulis]
+    pulled = conjugate_rows(rows, _inverse(gates), paulis[0].n)
+    return [None if x else {0: 0, 2: 1}.get(c) for x, _, c in pulled]
 
 
 def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
@@ -124,16 +226,18 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
     sums is nonzero: √2·lo (δ = 0 on the lo index, δ = 4 on the hi index)
     or e^(±iπ/4)·lo (δ = 2, 6 on the lo index).
     """
-    rows = [(0, 1 << n - q, 0) for q in range(1, n + 1)]
+    tableau = Tableau([(0, 1 << n - q, 0) for q in range(1, n + 1)], n)
     index = m = d = 0
     done = 0  # the rows are conjugated by gates[:done]
     for t, gate in enumerate(gates):
         q = gate.q
         a = 1 << n - q[-1]
         if gate.kind == "H":
-            rows = [conjugate(*row, gates[done:t], n) for row in rows]
+            tableau.conjugate(gates[done:t])
             done = t
-            partner = _with_x(rows, a)
+            # with no row's X part on qubit q, no product's is X_q
+            x_on_q = tableau.cols[q[0] - 1]
+            partner = _with_x(tableau.rows(), a) if x_on_q else None
             if partner is None:
                 m += 4 if index & a else 0
                 d += 1
@@ -184,13 +288,45 @@ def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
     if zero_amplitude(gates, n) != (0, 0, 0):
         return False
     free = (1 << n) - 1 & ~zero
-    for q in range(n):
-        a = 1 << q
-        if a & free:
-            x, z, c = conjugate(a, 0, 0, gates, n)
-            if x != a or z & free or c:
-                return False
-    return True
+    rows = [(1 << q, 0, 0) for q in range(n) if free >> q & 1]
+    return all(
+        (x, z & free, c) == (a, 0, 0)
+        for (a, _, _), (x, z, c) in zip(rows, conjugate_rows(rows, gates, n))
+    )
+
+
+def amplitudes(circuit, bits: str, error=None):
+    """(d, [(index, m), ...]): E·C|b> holds e^(iπ·m/4)/√2^d at each index.
+
+    The list holds every nonzero amplitude, in index order.  C is the
+    circuit, b the basis input with ``bits`` on its logical qubits, in
+    order, and 0 elsewhere, and E the PauliString ``error`` (I when None).
+    E·C|b> is P·C|0…0> for P = E·C·X^b·C†, and C|0…0> is nonzero exactly
+    on the index that ``zero_amplitude`` tracks plus the span of its
+    stabilizer rows' X parts.  Each product g = i^c·X^x·Z^z of the pivot
+    rows fixes C|0…0>, so it carries the tracked amplitude to index ^ x
+    with the factor i^c·(-1)^|z & index|; the 2^d products are walked in
+    Gray-code order, one multiplication each.  P then moves the amplitude
+    at j to j ^ P.x with the factor i^P.c·(-1)^|P.z & j|.
+    """
+    n, gates = circuit.n, circuit.gates
+    logical = circuit.logical_qubits()
+    b = sum(int(bit) << n - q for bit, q in zip(bits, logical))
+    zeros = [(0, 1 << n - q, 0) for q in range(1, n + 1)]
+    *rows, moved = conjugate_rows(zeros + [(b, 0, 0)], gates, n)
+    x, z, c = multiply(error.xzc() if error else (0, 0, 0), moved)
+    index, m, d = zero_amplitude(gates, n)
+    pivots = list(_pivots(rows).values())
+    g = (0, 0, 0)
+    out = []
+    for t in range(1 << len(pivots)):
+        if t:
+            g = multiply(g, pivots[(t & -t).bit_length() - 1])
+        j = index ^ g[0]
+        signs = (g[1] & index).bit_count() + (z & j).bit_count()
+        out.append((j ^ x, (m + 2 * (g[2] + c) + 4 * signs) & 7))
+    out.sort()
+    return d, out
 
 
 def _pivot_product(sf, y: int):
@@ -302,10 +438,9 @@ def verify_counts(circuit, sf, allow_frame: bool) -> tuple[int, int, int]:
     gates = circuit.gates
     gens = sf.generators
     signs = fixing_signs(gates, gens + sf.logical_z)
-    conj_x = [
-        conjugate(1 << n - q, 0, 0, gates, n)
-        for q in circuit.logical_qubits()
-    ]
+    conj_x = conjugate_rows(
+        [(1 << n - q, 0, 0) for q in circuit.logical_qubits()], gates, n
+    )
     matched, frame = _match(gates, sf, signs, conj_x, allow_frame)
     # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with - when g anticommutes with
     # Z_F·P_b, so g fixes input b when that sign cancels the one on g

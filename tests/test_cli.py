@@ -492,10 +492,10 @@ def test_export_qasm(capsys, mixed_eight, tmp_path):
 
 
 # Run in a fresh interpreter with numpy blocked: importing the CLI, then
-# running every command but simulate, with and without a frame for
+# running every command but optimize, with and without a frame for
 # verify, leaves numpy and the simulator unloaded, and no command but
 # optimize loads the optimizer stack.  Then `rules`, whose import proves
-# its templates, loads neither.  Simulate runs last, with numpy unblocked.
+# its templates, loads neither.
 _NUMPY_FREE = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy raises ImportError
@@ -523,14 +523,13 @@ for argv, want in (
     (["verify", "steane", circuit, "--allow-frame"], 0),
     (["verify", "thirteen_qubit", sys.argv[2]], 1),
     (["verify", "thirteen_qubit", sys.argv[2], "--allow-frame"], 0),
+    (["simulate", "steane", "--error", "X@3"], 0),
+    (["simulate", "thirteen_qubit", "--logical", "1011001", "--error", "Y@5"], 0),
 ):
     assert main(argv) == want, argv
     unloaded(argv)
 import stabsynth.rules  # proves its templates and commutation test exactly
 unloaded("rules", {"numpy", "stabsynth.simulator"})
-del sys.modules["numpy"]
-assert main(["simulate", "steane", "--error", "X@3"]) == 0
-unloaded("simulate", OPTIMIZER - {"stabsynth.rules"})
 """
 
 

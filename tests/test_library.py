@@ -1,8 +1,14 @@
 """Code library: .stab parsing with line-precise errors, fixtures, overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+from stabsynth import library
 
 from stabsynth.circuit import gate_counts
 from stabsynth.library import (
@@ -147,3 +153,25 @@ def test_fixture_directory_override(tmp_path, monkeypatch):
     assert load_code("eight_qubit").n == 8
     config = json.loads(json.dumps(golden_config("steane")))
     assert config["code"] == "steane"
+
+
+def test_the_package_imports_nothing_and_is_a_plain_directory(tmp_path):
+    # A regular package: `import stabsynth` runs an empty __init__, and
+    # importlib.resources reads fixtures from one directory path rather
+    # than a namespace package's MultiplexedPath.
+    script = """
+import sys
+from importlib.resources import files
+from pathlib import Path
+import stabsynth
+assert not [m for m in sys.modules if m.startswith("stabsynth.")], sys.modules
+root = files("stabsynth")
+assert isinstance(root, Path) and root.is_dir(), type(root)
+assert (root / "codes" / "steane.stab").is_file()
+"""
+    src = Path(library.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from stabsynth import rules, stabilizer
 from stabsynth.circuit import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
-from stabsynth.pauli import conjugate
+from stabsynth.stabilizer import conjugate_rows
 from stabsynth.rules import REGISTRY, RewriteRule, gates_commute, register, rule
 from stabsynth.simulator import StateVector, apply_gate, circuits_equivalent
 from stabsynth.stabilizer import same_on
@@ -107,7 +107,7 @@ def test_same_on_named_cases():
     # condition rejects it, and a zero qubit 2 lets it pass.
     cz = [Gate("CZ", (1, 2))]
     assert stabilizer.zero_amplitude(cz, 2) == (0, 0, 0)
-    assert conjugate(0b10, 0, 0, cz, 2) == (0b10, 0b01, 0)
+    assert conjugate_rows([(0b10, 0, 0)], cz, 2) == [(0b10, 0b01, 0)]
     assert not same_on(cz, (), 2)
     assert same_on(cz, (), 2, zero=0b01)
     # A CX on a zero control is nothing; on a zero target it is not.
