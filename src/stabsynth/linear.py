@@ -189,13 +189,29 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     unless the search ends first, reaches the iteration's minimum, so once
     a pruned child with f = bound + 1 has been seen, the next bound is
     bound + 1 whatever the rest of the iteration prunes.  From then on
-    until the iteration ends, a frontier node indexes its differing rows
-    by value, walks only the fixing children, in the same (control,
-    target) order and with the same table, goal and budget handling, and
-    returns bound + 1 without looking at the children it would only
-    prune.  Those children are never entered or recorded, so the nodes
-    expanded, the budget charged and the gates returned are unchanged;
-    only the work per frontier node falls from O(n^2) to O(n).
+    until the iteration ends, three rules cut the work per node:
+
+    - A second list, ``cares``, holds each row's masked value and is
+      updated and restored with ``diff``.  A frontier node's children
+      that pass the bound are exactly the pairs with
+      cares[c] == diff[t] != 0 and t != c.  It indexes only the differing
+      rows whose value some row holds, walks those children in the same
+      (control, target) order and with the same table, goal and budget
+      handling, and returns bound + 1 without looking at the others.
+    - A frontier child has a child that passes the bound only if some
+      nonzero ``diff`` value is also a ``cares`` value.  When none is,
+      the parent charges the budget and records the child in the table,
+      as entering it would, but does not call ``dfs``: it would enter
+      nothing and return bound + 1.
+    - A non-frontier node tests each child's bound before the table.  A
+      pruned child is never entered or recorded either way, and its f
+      could only have lowered the next bound, which is settled, so it
+      needs no lookup.  The goal test comes first; a goal child is never
+      in the table, which holds only nodes with h > 0.
+
+    No node is expanded, skipped or charged differently, so the nodes
+    expanded, where the budget runs out and the gates returned are those
+    of the row-tuple search, node for node.
     """
     goal_rows = _square_rows(matrix)
     n = len(goal_rows)
@@ -216,6 +232,8 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     start = _pack_state(_identity(n), n)
     # diff[t]: row t's masked difference from the target at the current node
     diff = [(a ^ r) & mask for a, r in zip(_identity(n), goal_rows)]
+    # cares[c]: row c's masked value at the current node
+    cares = [a & mask for a in _identity(n)]
     h_start = sum(d != 0 for d in diff)
     if h_start == 0:
         return ()
@@ -233,28 +251,33 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     settled = False  # a pruned child with f == bound + 1 was seen
     path: list[Gate] = []
 
-    def dfs(state, g, h, bound, seen):
+    def dfs(state, g, h, bound, seen, shared):
         """Expand ``state`` (h > 0, g + h <= bound).
 
-        Returns (found, next_bound); raises _Exhausted when out of budget.
+        ``shared`` is None unless the next bound is settled and ``state``
+        is a frontier node; it then holds the nonzero values ``diff`` and
+        ``cares`` share, and is not empty.  Returns (found, next_bound);
+        raises _Exhausted when out of budget.
         """
         nonlocal spent, settled
         spent += 1
         if spent > budget:
             raise _Exhausted
         g1 = g + 1
-        slack = bound - g1
-        if settled and slack < h:
-            # Frontier node, next bound settled: only the children fixing a
-            # differing row (row c & mask == diff[t]) pass the bound.
+        if shared is not None:
+            # Only the children fixing a differing row (cares[c] == diff[t])
+            # pass the bound, and each is a frontier node itself.
             fixes = {}
             for t, d in enumerate(diff):
-                if d:
+                if d in shared:
                     fixes.setdefault(d, []).append(t)
             for c in range(n):
+                care = cares[c]
+                targets = fixes.get(care)
+                if targets is None:
+                    continue
                 row = (state >> shifts[c]) & row_bits
-                care = row & mask
-                for t in fixes.get(care, ()):
+                for t in targets:
                     if t == c:
                         continue
                     child = state ^ (row << shifts[t])
@@ -266,38 +289,65 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                         return True, bound
                     seen[child] = g1
                     diff[t] = 0
-                    found, _ = dfs(child, g1, h - 1, bound, seen)
-                    if found:
-                        return True, bound
+                    cares[t] ^= care
+                    below = set(diff).intersection(cares)
+                    below.discard(0)
+                    if below:
+                        if dfs(child, g1, h - 1, bound, seen, below)[0]:
+                            return True, bound
+                    else:  # fixless child: charged and recorded only
+                        spent += 1
+                        if spent > budget:
+                            raise _Exhausted
                     diff[t] = care
+                    cares[t] ^= care
                     path.pop()
             return False, bound + 1
+        slack = bound - g1
         nxt = None
         for c in range(n):
             row = (state >> shifts[c]) & row_bits
-            care = row & mask
+            care = cares[c]
             for t, shift, gate in moves[c]:
-                child = state ^ (row << shift)
-                prev = seen.get(child)
-                if prev is not None and prev <= g1:
-                    continue
                 d = diff[t]
                 hc = h - (d != 0) + (d != care)
-                if hc == 0:
-                    path.append(gate)
-                    return True, bound
                 if hc > slack:
+                    if settled:
+                        continue
+                    child = state ^ (row << shift)
+                    prev = seen.get(child)
+                    if prev is not None and prev <= g1:
+                        continue
                     fb = g1 + hc
                     if fb == bound + 1:
                         settled = True
                 else:
+                    if hc == 0:
+                        path.append(gate)
+                        return True, bound
+                    child = state ^ (row << shift)
+                    prev = seen.get(child)
+                    if prev is not None and prev <= g1:
+                        continue
                     seen[child] = g1
                     path.append(gate)
                     diff[t] = d ^ care
-                    found, fb = dfs(child, g1, hc, bound, seen)
-                    if found:
-                        return True, bound
+                    cares[t] ^= care
+                    below = None
+                    if settled and hc == slack:
+                        below = set(diff).intersection(cares)
+                        below.discard(0)
+                    if below is None or below:
+                        found, fb = dfs(child, g1, hc, bound, seen, below)
+                        if found:
+                            return True, bound
+                    else:  # fixless child: charged and recorded only
+                        spent += 1
+                        if spent > budget:
+                            raise _Exhausted
+                        fb = bound + 1
                     diff[t] = d
+                    cares[t] ^= care
                     path.pop()
                 if nxt is None or fb < nxt:
                     nxt = fb
@@ -307,7 +357,7 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     try:
         while bound < upper:
             settled = False
-            found, nxt = dfs(start, 0, h_start, bound, {start: 0})
+            found, nxt = dfs(start, 0, h_start, bound, {start: 0}, None)
             if found:
                 return tuple(path)
             if nxt <= bound:

@@ -226,7 +226,20 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
     sums is nonzero: √2·lo (δ = 0 on the lo index, δ = 4 on the hi index)
     or e^(±iπ/4)·lo (δ = 2, 6 on the lo index).
     """
-    tableau = Tableau([(0, 1 << n - q, 0) for q in range(1, n + 1)], n)
+    return _zero_state(gates, n)[0]
+
+
+def _zero_state(gates, n: int, carried=()):
+    """((index, m, d), tableau, rest): ``zero_amplitude`` and its rows.
+
+    The tableau holds the n rows C·Z_q·C† followed by the Paulis
+    ``carried``, all conjugated by every gate but ``rest``, the gates
+    after the last H; ``tableau.conjugate(rest)`` brings them up to date.
+    """
+    tableau = Tableau(
+        [(0, 1 << n - q, 0) for q in range(1, n + 1)] + list(carried), n
+    )
+    below = len(carried)  # the carried rows are the low bits of a column
     index = m = d = 0
     done = 0  # the rows are conjugated by gates[:done]
     for t, gate in enumerate(gates):
@@ -236,8 +249,8 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
             tableau.conjugate(gates[done:t])
             done = t
             # with no row's X part on qubit q, no product's is X_q
-            x_on_q = tableau.cols[q[0] - 1]
-            partner = _with_x(tableau.rows(), a) if x_on_q else None
+            x_on_q = tableau.cols[q[0] - 1] >> below
+            partner = _with_x(tableau.rows()[:n], a) if x_on_q else None
             if partner is None:
                 m += 4 if index & a else 0
                 d += 1
@@ -268,7 +281,7 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
             index ^= a
         elif index & a:
             m += 4 if kind == "Z" else 2  # Z, or S: i
-    return index, m & 7, d
+    return (index, m & 7, d), tableau, gates[done:]
 
 
 def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
@@ -307,15 +320,17 @@ def amplitudes(circuit, bits: str, error=None):
     rows fixes C|0…0>, so it carries the tracked amplitude to index ^ x
     with the factor i^c·(-1)^|z & index|; the 2^d products are walked in
     Gray-code order, one multiplication each.  P then moves the amplitude
-    at j to j ^ P.x with the factor i^P.c·(-1)^|P.z & j|.
+    at j to j ^ P.x with the factor i^P.c·(-1)^|P.z & j|.  The rows are
+    the ones ``zero_amplitude`` tracks, and X^b rides in the same tableau,
+    so one pass over the gates conjugates them all.
     """
     n, gates = circuit.n, circuit.gates
     logical = circuit.logical_qubits()
     b = sum(int(bit) << n - q for bit, q in zip(bits, logical))
-    zeros = [(0, 1 << n - q, 0) for q in range(1, n + 1)]
-    *rows, moved = conjugate_rows(zeros + [(b, 0, 0)], gates, n)
+    (index, m, d), tableau, rest = _zero_state(gates, n, [(b, 0, 0)])
+    tableau.conjugate(rest)
+    *rows, moved = tableau.rows()
     x, z, c = multiply(error.xzc() if error else (0, 0, 0), moved)
-    index, m, d = zero_amplitude(gates, n)
     pivots = list(_pivots(rows).values())
     g = (0, 0, 0)
     out = []

@@ -10,6 +10,7 @@ from stabsynth.encoder import synthesize_encoder
 from stabsynth.linear import (
     _square_rows,
     block_to_matrix,
+    care_mask,
     gaussian_ops,
     search_ops,
 )
@@ -420,3 +421,77 @@ def test_frontier_search_matches_the_reference_near_exhaustion():
         )
         checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# the settled-bound rules against the row-tuple reference
+#
+# Once the next bound is settled, ``search_ops`` keeps each row's masked
+# value, charges a frontier child without a fixing move as if it were
+# entered, and tests a child's bound before the table.  A sweep over
+# seeded matrices compares it with the reference at the budget where it
+# first completes and one below, so a missed child, a child charged twice
+# or a stale masked value shows as different gates.
+
+
+def _sweep_case(seed):
+    """(target, witness, zero_columns) for one seeded sweep case.
+
+    n is 3 to 8.  Every third case marks the whole support of one target
+    row as zero columns, so that row's masked value is 0; the others mark
+    none or a random 30% of the columns.  Odd seeds carry the random CX
+    sequence that built the target as a witness.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    pairs = [tuple(int(q) + 1 for q in rng.choice(n, 2, replace=False))
+             for _ in range(int(rng.integers(1, 2 * n + 1)))]
+    gates = tuple(Gate("CX", q) for q in pairs)
+    target = block_to_matrix(gates, n)
+    zero = set()
+    if seed % 3 == 0:
+        row = target[int(rng.integers(n))]
+        zero = {w for w in range(1, n + 1) if row >> (n - w) & 1}
+    elif seed % 3 == 1:
+        zero = {w for w in range(1, n + 1) if rng.random() < 0.3}
+    witness = gates if seed % 2 else None
+    return target, witness, tuple(sorted(zero))
+
+
+def test_search_matches_the_reference_at_the_exhaustion_point_sweep():
+    pointed = cleared = witnessed = 0
+    for seed in range(300):
+        target, witness, zero_columns = _sweep_case(seed)
+        n = len(target)
+        mask = care_mask(n, zero_columns)
+        cleared += any(row & mask == 0 for row in target)
+        point = _exhaustion_point(target, witness, zero_columns, hi=1000)
+        budgets = (0, 40) if point is None else (point - 1, point)
+        _assert_matches_reference(target, budgets, witness, zero_columns)
+        if point is not None:
+            pointed += 1
+            witnessed += witness is not None
+    assert pointed >= 150 and witnessed >= 50
+    assert cleared >= 90
+
+
+def test_every_column_zero_needs_no_gates():
+    target = block_to_matrix(
+        [Gate("CX", (3, 1)), Gate("CX", (1, 2)), Gate("CX", (2, 3))], 3
+    )
+    assert search_ops(target, budget=0, zero_columns=(1, 2, 3)) == ()
+    assert search_ops(target, budget=100, zero_columns=(3, 1, 2)) == ()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_budget_zero_returns_the_fallback(seed):
+    # Seed 5's witness is shorter than its Gaussian circuit; seed 3's is
+    # that circuit itself.
+    target, witness, zero_columns = _sweep_case(seed)
+    gaussian = gaussian_ops(target)
+    want = gaussian
+    if witness is not None and (len(witness), _gate_key(witness)) < (
+            len(gaussian), _gate_key(gaussian)):
+        want = witness
+    assert search_ops(target, budget=0, witness=witness,
+                      zero_columns=zero_columns) == want
