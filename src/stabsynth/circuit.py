@@ -197,9 +197,10 @@ def to_json(c: Circuit) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
+_REQUIRED = ("name", "n", "roles", "gates", "notes")
+_FIELDS = frozenset((*_REQUIRED, "measurements"))
+_GATE_FIELDS = frozenset(("kind", "q"))
+_MEASUREMENT_FIELDS = frozenset(("q", "bit"))
 
 
 def _is_int(value) -> bool:
@@ -208,53 +209,66 @@ def _is_int(value) -> bool:
 
 
 def from_json(text: str) -> Circuit:
-    """Parse circuit JSON, naming any schema violation."""
+    """Parse circuit JSON, naming any schema violation.
+
+    Each check is made before its message is built, so a valid document
+    formats none.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
-    _expect(isinstance(doc, dict), "top level must be an object")
-    allowed = {"name", "n", "roles", "gates", "notes", "measurements"}
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+    if not isinstance(doc, dict):
+        raise ValueError("top level must be an object")
     for key in doc:
-        _expect(key in allowed, f"unknown field {key!r}")
-    for key in ("name", "n", "roles", "gates", "notes"):
-        _expect(key in doc, f"missing field {key!r}")
-    _expect(isinstance(doc["name"], str), "'name' must be a string")
-    _expect(_is_int(doc["n"]), "'n' must be an integer")
-    _expect(isinstance(doc["roles"], list), "'roles' must be a list")
-    _expect(isinstance(doc["gates"], list), "'gates' must be a list")
-    _expect(isinstance(doc["notes"], list), "'notes' must be a list")
+        if key not in _FIELDS:
+            raise ValueError(f"unknown field {key!r}")
+    for key in _REQUIRED:
+        if key not in doc:
+            raise ValueError(f"missing field {key!r}")
+    if not isinstance(doc["name"], str):
+        raise ValueError("'name' must be a string")
+    if not _is_int(doc["n"]):
+        raise ValueError("'n' must be an integer")
+    for key in ("roles", "gates", "notes"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key!r} must be a list")
     gates = []
     for idx, entry in enumerate(doc["gates"], start=1):
-        _expect(isinstance(entry, dict), f"gate {idx} must be an object")
-        _expect(
-            set(entry) == {"kind", "q"},
-            f"gate {idx} must have exactly the fields 'kind' and 'q'",
-        )
-        _expect(
-            isinstance(entry["q"], list)
-            and all(_is_int(i) for i in entry["q"]),
-            f"gate {idx} field 'q' must be a list of integers",
-        )
+        if not isinstance(entry, dict):
+            raise ValueError(f"gate {idx} must be an object")
+        if entry.keys() != _GATE_FIELDS:
+            raise ValueError(
+                f"gate {idx} must have exactly the fields 'kind' and 'q'"
+            )
+        q = entry["q"]
+        if not isinstance(q, list) or not all(map(_is_int, q)):
+            raise ValueError(f"gate {idx} field 'q' must be a list of integers")
         try:
-            gates.append(Gate(kind=entry["kind"], q=tuple(entry["q"])))
+            gates.append(Gate(entry["kind"], q))
         except ValueError as exc:
             raise ValueError(f"gate {idx}: {exc}") from None
     entries = doc.get("measurements", [])
-    _expect(isinstance(entries, list), "'measurements' must be a list")
+    if not isinstance(entries, list):
+        raise ValueError("'measurements' must be a list")
     measurements = []
     for idx, entry in enumerate(entries, start=1):
-        _expect(
-            isinstance(entry, dict) and set(entry) == {"q", "bit"},
-            f"measurement {idx} must be an object with fields 'q' and 'bit'",
-        )
-        _expect(
-            _is_int(entry["q"]) and _is_int(entry["bit"]),
-            f"measurement {idx} fields 'q' and 'bit' must be integers",
-        )
+        if not (
+            isinstance(entry, dict) and entry.keys() == _MEASUREMENT_FIELDS
+        ):
+            raise ValueError(
+                f"measurement {idx} must be an object with fields 'q' and 'bit'"
+            )
+        if not (_is_int(entry["q"]) and _is_int(entry["bit"])):
+            raise ValueError(
+                f"measurement {idx} fields 'q' and 'bit' must be integers"
+            )
         measurements.append((entry["q"], entry["bit"]))
     for note in doc["notes"]:
-        _expect(isinstance(note, str), "'notes' entries must be strings")
+        if not isinstance(note, str):
+            raise ValueError("'notes' entries must be strings")
     try:
         return Circuit(
             n=doc["n"],

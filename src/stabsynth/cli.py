@@ -60,7 +60,7 @@ def _load_code(spec: str) -> library.CodeDefinition:
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read circuit file {path!r}: {exc}") from exc
     try:
         return from_json(text)
@@ -123,7 +123,9 @@ def _cmd_optimize(args) -> int:
                 c, t = pair
                 ops.append((int(c), int(t)))
             witnesses.append(ops)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (
+            OSError, ValueError, KeyError, TypeError, RecursionError
+        ) as exc:
             raise _InputError(f"bad witness file {path!r}: {exc}") from exc
     from .optimizer import OptimizationError, optimize
 

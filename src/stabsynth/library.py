@@ -70,13 +70,18 @@ class StabParseError(ValueError):
 
 @dataclass(frozen=True)
 class CodeDefinition:
-    """A validated stabilizer code: name, size, and generator list."""
+    """A validated stabilizer code: name, size, and generator list.
+
+    The generators are validated once, into the ``CheckMatrix`` that
+    ``check_matrix`` returns and ``standard_form`` reduces.
+    """
 
     name: str
     n: int
     k: int
     generators: tuple[PauliString, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    _check: CheckMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.generators) != self.n - self.k:
@@ -84,14 +89,14 @@ class CodeDefinition:
                 f"code {self.name!r} declares n-k={self.n - self.k} "
                 f"generators but provides {len(self.generators)}"
             )
-        # CheckMatrix re-validates sizes, commutation, and independence.
-        CheckMatrix(list(self.generators))
+        # CheckMatrix validates sizes, commutation, and independence.
+        object.__setattr__(self, "_check", CheckMatrix(self.generators))
 
     def check_matrix(self) -> CheckMatrix:
-        return CheckMatrix(list(self.generators))
+        return self._check
 
     def standard_form(self) -> StandardForm:
-        return standard_form(self.check_matrix())
+        return standard_form(self._check)
 
 
 def loads_stab(text: str, source: str = "<string>") -> CodeDefinition:
@@ -161,17 +166,18 @@ def loads_stab(text: str, source: str = "<string>") -> CodeDefinition:
             raise StabParseError(
                 source, lineno, f"generator has {p.n} letters, expected n={n}"
             )
-    for i in range(len(generators)):
-        for j in range(i + 1, len(generators)):
-            if not generators[i].commutes_with(generators[j]):
-                raise StabParseError(
-                    source, gen_lines[j],
-                    f"generator anticommutes with the generator on line "
-                    f"{gen_lines[i]}",
-                )
     try:
         return CodeDefinition(name, n, k, tuple(generators), tuple(notes))
     except ValueError as exc:
+        # An anticommuting pair is named by its lines, whatever else fails.
+        for i in range(len(generators)):
+            for j in range(i + 1, len(generators)):
+                if not generators[i].commutes_with(generators[j]):
+                    raise StabParseError(
+                        source, gen_lines[j],
+                        f"generator anticommutes with the generator on line "
+                        f"{gen_lines[i]}",
+                    ) from exc
         raise StabParseError(source, 0, str(exc)) from exc
 
 

@@ -23,9 +23,10 @@ shrinks its CNOT count in several passes:
 
 ``apply_rules`` runs the passes and returns a self-contained circuit (the
 frame stays in the gate list).  ``optimize`` additionally resynthesizes
-extracted CNOT blocks at ``level="full"``, splits the frame into the
-report, and re-simulates the result against the input — a mismatch is a
-hard error, never a silent fallback.
+extracted CNOT blocks at ``level="full"``, keeps the frame's S gates as
+the circuit's last gates and splits its Z gates into the report, and
+re-simulates the result against the input — a mismatch is a hard error,
+never a silent fallback.
 
 Window rewrites are applied from the registry: each replacement is
 instantiated from a registered, registration-verified rule of
@@ -702,16 +703,27 @@ def _pipeline(circuit: Circuit, fires: _Fires):
     return gates, frame, baseline
 
 
+def _split_frame(frame) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """(S gates, Z gates) of a collected frame, each in qubit order."""
+    return (
+        tuple(g for g in frame if g.kind == "S"),
+        tuple(g for g in frame if g.kind == "Z"),
+    )
+
+
 def apply_rules(circuit: Circuit) -> Circuit:
     """Rewrite ``circuit`` toward the {H, CX} gate set using registered rules.
 
     The result is a self-contained exact equivalent of the input: any
-    residual diagonal Pauli frame stays in the gate list, at the end.
+    residual diagonal Pauli frame stays in the gate list, at the end, its
+    S gates before its Z gates, as ``optimize`` orders them.
     """
     fires = _Fires()
     gates, frame, _ = _pipeline(circuit, fires)
+    s_gates, z_gates = _split_frame(frame)
     return circuit.replace_gates(
-        tuple(gates) + frame, note="rewritten toward the cnot-h gate set"
+        tuple(gates) + s_gates + z_gates,
+        note="rewritten toward the cnot-h gate set",
     )
 
 
@@ -746,11 +758,12 @@ def optimize(
     the columns that matter.  The returned circuit holds no CY or CZ:
     retarget rewrites them into H, CX and S.  The single-qubit X, Y, Z
     and S gates that do not cancel, merge or move into the frame pass
-    through, so the result is over {H, CX, X, Y, Z, S}.  Any residual
-    diagonal Pauli frame is split into the
-    report (and recorded in the circuit notes), and the circuit composed
-    with its frame is re-simulated against the input on every ancilla-
-    restricted basis state.  A mismatch raises ``OptimizationError``, and
+    through, so the result is over {H, CX, X, Y, Z, S}.  The S gates of
+    the residual diagonal frame stay in the circuit as its last gates; its
+    Z gates, a Pauli frame, are split into ``report.frame`` (and recorded
+    in the circuit notes), and the circuit composed with that frame is
+    re-simulated against the input on every ancilla-restricted basis
+    state.  A mismatch raises ``OptimizationError``, and
     a circuit past the dense simulator's qubit limit raises
     ``simulator.DenseLimitError`` (a ``ValueError``) at that proof.
     An unknown level, a negative ``search_budget``, or a witness pair
@@ -799,6 +812,10 @@ def optimize(
             "retargeted baseline; this is a bug in the rewrite passes"
         )
 
+    # Only the Z's leave the circuit, so the frame is one that
+    # `verify --allow-frame` can find.  No pass has seen the split.
+    s_gates, frame = _split_frame(frame)
+    gates = [*gates, *s_gates]
     notes = circuit.notes + (f"optimized: level={level}",)
     if frame:
         notes += ("pauli frame: " + " ".join(str(g) for g in frame),)

@@ -54,7 +54,9 @@ class PauliString:
                 raise ValueError("x and z must be equal-length bit sequences")
             n = len(x)
         self.n = n
-        self.x, self.z = as_bits((x, z))
+        if not (isinstance(x, int) and isinstance(z, int)):
+            x, z = as_bits((x, z))
+        self.x, self.z = x, z
         if (self.x | self.z) >> n:
             raise ValueError(f"x and z must fit in {n} bits")
         self.phase_exp = int(phase_exp) % 4

@@ -18,14 +18,18 @@ to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   Every gate but H moves the index or multiplies the amplitude by a power
   of i.  An H on qubit q mixes the index with its partner index ^ q: when
   some product of rows has X part q alone, the partner is in the support
-  and that product gives its amplitude from the tracked one.
+  and that product gives its amplitude from the tracked one.  Paulis a
+  question also needs conjugated ride in the same tableau, so the
+  tracking and their conjugation are one forward pass over the gates.
 - **Amplitudes** (``amplitudes``).  E·C|b> is P·C|0…0> for one Pauli P,
   and C|0…0> is the tracked amplitude carried across its support by the
-  products of its stabilizer rows, one product per index.
+  products of its stabilizer rows, one product per index.  One forward
+  pass.
 - **Equality** (``same_on``).  Two gate lists agree on the basis inputs
-  with some qubits at |0> exactly when C = rhs†·lhs fixes |0…0>, read by
-  ``zero_amplitude``, and conjugates each other qubit's X to itself times
-  Z's on the |0> qubits alone.
+  with some qubits at |0> exactly when C = rhs†·lhs fixes |0…0>, read as
+  ``zero_amplitude`` reads it, and conjugates each other qubit's X to
+  itself times Z's on the |0> qubits alone.  One forward pass over
+  lhs and rhs† answers both.
 - **|0_L>** is read at any index y from the standard form's X-pivot
   generators: the product of those selected by y's first r bits has some
   X part x, and the amplitude is i^c/√2^r when x = y and 0 otherwise
@@ -44,12 +48,15 @@ to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   tests on ω_b: input b agrees up to a sign per index when ω_b is real,
   and matches when ω_b = 1 and F_b = 0.
 
-The cost of ``verify_counts`` is about n·gates big-int operations: two
-batches of at most n Paulis conjugated through the gates, plus an
-elimination of the n rows at each H whose qubit some row has an X on.
-Then each of the 2^k inputs takes a few int operations.  Memory is the n
-rows; nothing is kept per input.  ``amplitudes`` adds one Pauli product
-per nonzero amplitude.
+The cost of ``verify_counts`` is about n·gates big-int operations: one
+backward pass pulls the n - k generators and k logical Z's back through
+C†, and one forward pass tracks C|0…0> with the k logical X's riding in
+its tableau, plus an elimination of the n rows at each H whose qubit
+some row has an X on.  When some generator pulls back to no ±Z^z,
+nothing can match and the forward pass is skipped.  Then each of the
+2^k inputs takes a few int operations.  Memory is the n + k rows;
+nothing is kept per input.  ``amplitudes`` adds one Pauli product per
+nonzero amplitude.
 """
 
 from __future__ import annotations
@@ -218,7 +225,8 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
     """(index, m, d): C|0…0> holds e^(iπ·m/4)/√2^d at basis index ``index``.
 
     The amplitude is nonzero and exact.  The n stabilizer rows C·Z_q·C†
-    are brought up to date only at each H, the one gate that needs them.
+    are brought up to date at each H, the one gate that needs them, and
+    once after the last gate.
     At an H on qubit q, lo and hi are the two indices that differ only in
     q, one of them the tracked index, and the new amplitudes are
     (lo ± hi)/√2.  With no partner in the support one side is 0; with a
@@ -230,11 +238,11 @@ def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
 
 
 def _zero_state(gates, n: int, carried=()):
-    """((index, m, d), tableau, rest): ``zero_amplitude`` and its rows.
+    """((index, m, d), tableau): ``zero_amplitude`` and its rows.
 
-    The tableau holds the n rows C·Z_q·C† followed by the Paulis
-    ``carried``, all conjugated by every gate but ``rest``, the gates
-    after the last H; ``tableau.conjugate(rest)`` brings them up to date.
+    The tableau holds the n rows C·Z_q·C† followed by C·P·C† for each
+    Pauli P of ``carried``, so a question that needs C|0…0> and some
+    conjugated Paulis makes one pass over the gates.
     """
     tableau = Tableau(
         [(0, 1 << n - q, 0) for q in range(1, n + 1)] + list(carried), n
@@ -281,7 +289,8 @@ def _zero_state(gates, n: int, carried=()):
             index ^= a
         elif index & a:
             m += 4 if kind == "Z" else 2  # Z, or S: i
-    return (index, m & 7, d), tableau, gates[done:]
+    tableau.conjugate(gates[done:])
+    return (index, m & 7, d), tableau
 
 
 def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
@@ -297,14 +306,14 @@ def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
     since then C|b> = C·X^b·C†·C|0…0> = |b>.  Both are needed: CZ(1, 2)
     fixes |0…0>, and only the second rejects it as the identity.
     """
-    gates = [*lhs, *_inverse(rhs)]
-    if zero_amplitude(gates, n) != (0, 0, 0):
-        return False
     free = (1 << n) - 1 & ~zero
     rows = [(1 << q, 0, 0) for q in range(n) if free >> q & 1]
+    amplitude, tableau = _zero_state([*lhs, *_inverse(rhs)], n, rows)
+    if amplitude != (0, 0, 0):
+        return False
     return all(
         (x, z & free, c) == (a, 0, 0)
-        for (a, _, _), (x, z, c) in zip(rows, conjugate_rows(rows, gates, n))
+        for (a, _, _), (x, z, c) in zip(rows, tableau.rows()[n:])
     )
 
 
@@ -327,8 +336,7 @@ def amplitudes(circuit, bits: str, error=None):
     n, gates = circuit.n, circuit.gates
     logical = circuit.logical_qubits()
     b = sum(int(bit) << n - q for bit, q in zip(bits, logical))
-    (index, m, d), tableau, rest = _zero_state(gates, n, [(b, 0, 0)])
-    tableau.conjugate(rest)
+    (index, m, d), tableau = _zero_state(gates, n, [(b, 0, 0)])
     *rows, moved = tableau.rows()
     x, z, c = multiply(error.xzc() if error else (0, 0, 0), moved)
     pivots = list(_pivots(rows).values())
@@ -353,9 +361,10 @@ def _pivot_product(sf, y: int):
     return product
 
 
-def _match(gates, sf, signs, conj_x, allow_frame):
-    """(matched, frame) over every logical input of ``gates``.
+def _match(zero, sf, signs, conj_x, allow_frame):
+    """(matched, frame) over every logical input of a circuit C.
 
+    ``zero`` is C|0…0>'s tracked (index, m, d) from ``zero_amplitude``,
     ``signs`` come from ``fixing_signs`` over the standard generators and
     then the logical Z's, and ``conj_x`` holds each logical wire's
     C·X_q·C† as (x, z, c).  Nothing matches and no frame is returned when
@@ -384,7 +393,7 @@ def _match(gates, sf, signs, conj_x, allow_frame):
     # C|0…0> = ω_0·Z_f0·|0_L>: read ω_0 = √2^r·<0…0|C|0…0> off the
     # tracked index y, through the pivot product g with X part y, which
     # fixes C|0…0> with the sign (-1)^|f0 & y|.
-    y, m, _ = zero_amplitude(gates, n)
+    y, m, _ = zero
     _, z, c = _pivot_product(sf, y)
     m += 2 * c + 4 * (((f0 ^ z) & y).bit_count() & 1)
     if m & 1:
@@ -448,22 +457,27 @@ def verify_counts(circuit, sf, allow_frame: bool) -> tuple[int, int, int]:
     oracle's encoded |b>; both are 0 when the outputs and the oracle
     states differ by more than a sign per basis index, or by more than
     one Z frame when ``allow_frame`` is set.
+
+    The circuit is walked twice: once backward (``fixing_signs``) and,
+    unless some generator pulls back to no ±Z^z, once forward (C|0…0>
+    and the conjugated logical X's together).
     """
     n, k = sf.n, sf.k
-    gates = circuit.gates
     gens = sf.generators
-    signs = fixing_signs(gates, gens + sf.logical_z)
-    conj_x = conjugate_rows(
-        [(1 << n - q, 0, 0) for q in circuit.logical_qubits()], gates, n
+    signs = fixing_signs(circuit.gates, gens + sf.logical_z)
+    if None in signs[:len(gens)]:
+        return 0, 0, 0  # the unsigned groups differ
+    zero, tableau = _zero_state(
+        circuit.gates, n,
+        [(1 << n - q, 0, 0) for q in circuit.logical_qubits()],
     )
-    matched, frame = _match(gates, sf, signs, conj_x, allow_frame)
+    conj_x = tableau.rows()[n:]
+    matched, frame = _match(zero, sf, signs, conj_x, allow_frame)
     # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with - when g anticommutes with
     # Z_F·P_b, so g fixes input b when that sign cancels the one on g
     # that fixes psi.  The anticommutation bits are linear in b, so the
     # inputs that pass are a coset of a linear map's kernel, or none.
     signs = signs[:len(gens)]
-    if None in signs:
-        return 0, matched, frame
     masks = [
         sum(_anticommute(x, z, g) << i for i, g in enumerate(gens))
         for x, z, _ in conj_x

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2 import as_bits, rank
-from .pauli import PauliString
+from .pauli import PauliString, multiply
 
 __all__ = ["CheckMatrix", "StandardForm", "standard_form", "css_check_matrix"]
 
@@ -42,14 +42,17 @@ class CheckMatrix:
     Accepts PauliString instances or parseable strings.  Generators may
     carry explicit +/- signs (phase_exp 0 or 2); phases +/-i are rejected
     because such an operator cannot square to the identity.  Generators
-    must pairwise commute and be linearly independent.  ``x``, ``z`` and
-    ``phases`` hold one entry per generator, ``x`` and ``z`` as int rows.
+    must pairwise commute and be linearly independent.  ``paulis``,
+    ``x``, ``z`` and ``phases`` are tuples with one entry per generator,
+    ``x`` and ``z`` as int rows, so a matrix can be shared without being
+    changed.
     """
 
     def __init__(self, generators):
-        paulis: list[PauliString] = []
-        for g in generators:
-            paulis.append(g if isinstance(g, PauliString) else PauliString.parse(g))
+        paulis = tuple(
+            g if isinstance(g, PauliString) else PauliString.parse(g)
+            for g in generators
+        )
         if not paulis:
             raise ValueError("no generators given")
         n = paulis[0].n
@@ -63,21 +66,23 @@ class CheckMatrix:
                     f"generator {i} has phase +/-i; "
                     "stabilizer generators must square to the identity"
                 )
-        for i in range(len(paulis)):
+        xs = tuple(p.x for p in paulis)
+        zs = tuple(p.z for p in paulis)
+        for i, (xi, zi) in enumerate(zip(xs, zs)):
             for j in range(i + 1, len(paulis)):
-                if not paulis[i].commutes_with(paulis[j]):
+                if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1:
                     raise ValueError(
                         f"generators {i + 1} and {j + 1} anticommute"
                     )
-        got = rank(p.x << n | p.z for p in paulis)
+        got = rank(x << n | z for x, z in zip(xs, zs))
         if got < len(paulis):
             raise ValueError(
                 f"generators are linearly dependent: rank {got} < {len(paulis)}"
             )
         self.paulis = paulis
         self.n = n
-        self.x = tuple(p.x for p in paulis)
-        self.z = tuple(p.z for p in paulis)
+        self.x = xs
+        self.z = zs
         self.phases = tuple(p.phase_exp for p in paulis)
 
     @property
@@ -183,91 +188,88 @@ class StandardForm:
         return tuple(row >> (n - c1) & mask for row in half[r0:r1])
 
 
-def _permuted(bits: int, perm, width: int) -> int:
-    """``bits`` with position ``pos`` taken from position ``perm[pos]``."""
-    out = 0
-    for q in perm:
-        out = out << 1 | (bits >> (width - 1 - q) & 1)
-    return out
-
-
 def standard_form(check: CheckMatrix) -> StandardForm:
     """Reduce a check matrix to standard form.
 
     Deterministic: pivots are chosen by scanning rows top-down, and when a
     column swap is needed the nearest eligible column to the right is used.
     Applying this to a matrix already in standard form is a no-op (identity
-    permutation, identity recipe).
+    permutation, identity recipe).  ``check`` was validated when it was
+    built, so it is reduced as it is, not checked again.
     """
     n, m = check.n, check.m
     rows = [x << n | z for x, z in zip(check.x, check.z)]
+    # the original rows under the same column swaps, to check the recipes
+    base = rows[:]
     recipe = [1 << (m - 1 - i) for i in range(m)]
     perm = list(range(n))
+    # column c of an (x|z) row: x columns 0..n-1, then z columns
+    bits = [1 << (2 * n - 1 - c) for c in range(2 * n)]
 
-    def bit(c: int) -> int:
-        """Column ``c`` of an (x|z) row: x columns 0..n-1, then z columns."""
-        return 1 << (2 * n - 1 - c)
-
-    def pivot(top: int, c: int) -> int | None:
-        """The first row from ``top`` down with column ``c`` set."""
-        return next((q for q in range(top, m) if rows[q] & bit(c)), None)
-
-    def swap_qubits(a: int, b: int) -> None:
-        for ba, bb in ((bit(a), bit(b)), (bit(n + a), bit(n + b))):
-            for q, row in enumerate(rows):
-                if bool(row & ba) != bool(row & bb):
-                    rows[q] = row ^ ba ^ bb
-        perm[a], perm[b] = perm[b], perm[a]
-
-    def settle(top: int, c: int, first: int) -> None:
-        """Move column ``c``'s pivot to row ``top`` and clear the column
-        in every other row from ``first`` down."""
-        p = pivot(top, c)
+    # Phase 1 brings the x part to [I A1 A2].  It ends at the first row r
+    # with no x bit left, after which the remaining rows are pure-Z, and
+    # phase 2 brings their z part to [D I E] by eliminating within the
+    # band only.  Each step takes the nearest column at or right of
+    # ``top`` that some row from ``top`` down has set, swaps it into place
+    # and clears it in every other row (in phase 2, from row r down).
+    r = None
+    top = 0
+    while top < m:
+        z_half = r is not None
+        free = 0
+        for q in range(top, m):
+            free |= rows[q]
+        if not z_half:
+            free >>= n
+        free &= (1 << (n - top)) - 1
+        if not free:
+            if z_half:  # cannot happen for a valid full-rank input
+                raise ValueError("check matrix is rank deficient in its z part")
+            r = top
+            continue
+        c = n - free.bit_length()
+        if c != top:  # swap qubits top and c, x and z columns together
+            shift = c - top
+            pair = bits[c] | bits[n + c]
+            for table in (rows, base):
+                for q, row in enumerate(table):
+                    t = (row ^ row >> shift) & pair
+                    if t:
+                        table[q] = row ^ t ^ t << shift
+            perm[top], perm[c] = perm[c], perm[top]
+        bit = bits[n + top if z_half else top]
+        p = top
+        while not rows[p] & bit:
+            p += 1
         rows[top], rows[p] = rows[p], rows[top]
         recipe[top], recipe[p] = recipe[p], recipe[top]
-        for q in range(first, m):
-            if q != top and rows[q] & bit(c):
-                rows[q] ^= rows[top]
-                recipe[q] ^= recipe[top]
+        pivot, pivot_recipe = rows[top], recipe[top]
+        for q in range(r if z_half else 0, m):
+            if q != top and rows[q] & bit:
+                rows[q] ^= pivot
+                recipe[q] ^= pivot_recipe
+        top += 1
+    if r is None:
+        r = m
 
-    # phase 1: bring the x part to [I A1 A2]
-    r = 0
-    while r < m:
-        if pivot(r, r) is None:
-            c = next((c for c in range(r + 1, n) if pivot(r, c) is not None), None)
-            if c is None:
-                break
-            swap_qubits(r, c)
-        settle(r, r, 0)
-        r += 1
-
-    # after phase 1 the remaining rows are pure-Z; bring their z part to
-    # [D I E] by eliminating within the band only
-    for row in range(r, m):
-        if pivot(row, n + row) is None:
-            c = next(
-                (c for c in range(row + 1, n) if pivot(row, n + c) is not None),
-                None,
-            )
-            if c is None:  # cannot happen for a valid full-rank input
-                raise ValueError("check matrix is rank deficient in its z part")
-            swap_qubits(row, c)
-        settle(row, n + row, r)
-
-    # phases of the recipe products relative to the standard letter strings
-    row_perm = perm + [n + q for q in perm]
-    regen: list[int] = []
-    for i in range(m):
-        members = [j for j in range(m) if recipe[i] >> (m - 1 - j) & 1]
-        prod = check.paulis[members[0]]
-        for j in members[1:]:
-            prod = prod * check.paulis[j]
-        # permuting qubit labels changes neither letters nor phase
-        if _permuted(prod.x << n | prod.z, row_perm, 2 * n) != rows[i]:
-            raise AssertionError("row recipe does not reproduce standard row")
-        regen.append(prod.phase_exp)
-
+    # phases of the recipe products relative to the standard letter
+    # strings; permuting qubit labels changes neither letters nor phase
     low = (1 << n) - 1
+    factors = [
+        (v >> n, v & low, phase + (v >> n & v).bit_count())
+        for v, phase in zip(base, check.phases)
+    ]
+    regen: list[int] = []
+    for row, members in zip(rows, recipe):
+        prod = (0, 0, 0)
+        for j, factor in enumerate(factors):
+            if members >> (m - 1 - j) & 1:
+                prod = multiply(prod, factor)
+        x, z, c = prod
+        if x << n | z != row:
+            raise AssertionError("row recipe does not reproduce standard row")
+        regen.append((c - (x & z).bit_count()) % 4)
+
     xs = [row >> n for row in rows]
     zs = [row & low for row in rows]
     generators = [PauliString(x, z, n=n) for x, z in zip(xs, zs)]

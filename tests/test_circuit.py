@@ -184,6 +184,68 @@ def test_from_json_rejects_booleans_and_non_integers(doc, message):
     assert from_json(json.dumps({**base, key: fixed[key]}))
 
 
+_BASE = {"name": "x", "n": 2, "roles": ["logical_input", "ancilla_zero"],
+         "gates": [], "notes": []}
+
+
+def _doc(**fields):
+    return json.dumps({**_BASE, **fields})
+
+
+# One malformed document per message from_json can give, with its text.
+_MALFORMED = [
+    ("{", "not valid JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ("[" * 200000 + "]" * 200000, "JSON nested too deeply to parse"),
+    ("[]", "top level must be an object"),
+    (_doc(extra=1), "unknown field 'extra'"),
+    ('{"name": "x"}', "missing field 'n'"),
+    (_doc(name=1), "'name' must be a string"),
+    (_doc(n="2"), "'n' must be an integer"),
+    (_doc(roles={}), "'roles' must be a list"),
+    (_doc(gates=None), "'gates' must be a list"),
+    (_doc(notes="a"), "'notes' must be a list"),
+    (_doc(gates=[{"kind": "H", "q": [1]}, ["H"]]), "gate 2 must be an object"),
+    (_doc(gates=[{"kind": "H", "q": [1], "c": 0}]),
+     "gate 1 must have exactly the fields 'kind' and 'q'"),
+    (_doc(gates=[{"kind": "H", "q": 1}]),
+     "gate 1 field 'q' must be a list of integers"),
+    (_doc(gates=[{"kind": "CX", "q": [1, None]}]),
+     "gate 1 field 'q' must be a list of integers"),
+    (_doc(gates=[{"kind": "T", "q": [1]}]), "gate 1: unknown gate kind 'T'"),
+    (_doc(gates=[{"kind": "CZ", "q": [1]}]),
+     "gate 1: CZ takes 2 qubit index(es), got 1"),
+    (_doc(gates=[{"kind": "S", "q": [0]}]),
+     "gate 1: qubit indices are 1-based, got (0,)"),
+    (_doc(gates=[{"kind": "CY", "q": [2, 2]}]),
+     "gate 1: CY control equals target (2)"),
+    (_doc(measurements={}), "'measurements' must be a list"),
+    (_doc(measurements=[{"q": 1, "bit": 0}, {"q": 1}]),
+     "measurement 2 must be an object with fields 'q' and 'bit'"),
+    (_doc(measurements=[7]),
+     "measurement 1 must be an object with fields 'q' and 'bit'"),
+    (_doc(measurements=[{"q": "1", "bit": 0}]),
+     "measurement 1 fields 'q' and 'bit' must be integers"),
+    (_doc(notes=["a", 2]), "'notes' entries must be strings"),
+    (_doc(n=0, roles=[]), "circuit needs at least one qubit"),
+    (_doc(roles=["logical_input"]), "roles must list 2 entries, got 1"),
+    (_doc(roles=["logical_input", "data"]), "unknown role 'data'"),
+    (_doc(gates=[{"kind": "H", "q": [3]}]),
+     "gate H(3) qubit index 3 out of range for n=2"),
+    (_doc(measurements=[{"q": 3, "bit": 0}]), "measurement qubit 3 out of range"),
+    (_doc(measurements=[{"q": 1, "bit": -1}]), "measurement bit -1 is negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", _MALFORMED, ids=[m for _, m in _MALFORMED]
+)
+def test_from_json_gives_each_message_in_full(text, message):
+    with pytest.raises(ValueError) as info:
+        from_json(text)
+    assert str(info.value) == message
+
+
 def test_qasm_export():
     c = Circuit(
         n=2,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stabsynth.cli
@@ -15,6 +16,8 @@ from stabsynth.circuit import Circuit, Gate, from_json, gate_counts, to_json
 from stabsynth.cli import _build_parser, main
 from stabsynth.library import golden_circuit
 from stabsynth.simulator import MAX_QUBITS
+
+from conftest import random_code
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +248,33 @@ def test_optimize_rules_and_full(capsys, tmp_path, cnotcz_eight):
     assert out.rstrip().endswith("PASS")
 
 
+def test_optimized_random_encoders_verify_with_their_frame(capsys, tmp_path):
+    # optimize keeps the S gates it collects in the circuit, so its frame
+    # is Z's only, which verify --allow-frame can supply.
+    rng = np.random.default_rng(60)
+    stab, enc, opt = (tmp_path / f for f in ("c.stab", "enc.json", "opt.json"))
+    verified = 0
+    for _ in range(60):
+        n = int(rng.integers(5, 11))
+        k = int(rng.integers(1, 4))
+        letters = "\n".join(str(g) for g in random_code(rng, n, k).generators)
+        stab.write_text(f"name: random\nn: {n}\nk: {k}\n{letters}\n")
+        for gates in ("mixed", "cnot-cz"):
+            code, _, _ = run_cli(
+                capsys, "synth", str(stab), "--gates", gates, "-o", str(enc)
+            )
+            if code:  # an odd-Y generator, refused by cnot-cz only
+                assert (code, gates) == (2, "cnot-cz")
+                continue
+            assert run_cli(capsys, "optimize", str(enc), "-o", str(opt))[0] == 0
+            code, out, _ = run_cli(
+                capsys, "verify", str(stab), str(opt), "--allow-frame"
+            )
+            assert (code, out.splitlines()[-1]) == (0, "PASS"), (letters, gates)
+            verified += 1
+    assert verified > 60
+
+
 def test_optimize_bad_witness_file_exits_2(capsys, tmp_path, cnotcz_eight):
     bad = tmp_path / "w.json"
     bad.write_text("{\"ops\": [[1, 2, 3]]}")
@@ -276,6 +306,53 @@ def test_optimize_unreadable_circuit_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "optimize", str(tmp_path / "nope.json"))
     assert code == 2
     assert err.startswith("error:")
+
+
+_UNREADABLE = {
+    "nested": "[" * 200000 + "]" * 200000,
+    "not_utf8": b"\xff\xfe",
+}
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+@pytest.mark.parametrize("command", [
+    ["export-qasm"], ["verify", "steane"], ["optimize"],
+])
+def test_unreadable_circuit_file_exits_2_with_one_line(
+    capsys, tmp_path, command, kind
+):
+    path = _write(tmp_path / "c.json", _UNREADABLE[kind])
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("nested too deeply" if kind == "nested" else "utf-8") in err
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE))
+def test_unreadable_witness_file_exits_2_with_one_line(
+    capsys, tmp_path, cnotcz_eight, kind
+):
+    content = _UNREADABLE[kind]
+    if kind == "nested":
+        content = '{"ops": ' + content + "}"
+    witness = _write(tmp_path / "w.json", content)
+    code, out, err = run_cli(
+        capsys, "optimize", str(cnotcz_eight), "--level", "full",
+        "--witness", str(witness),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad witness file {str(witness)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_synth_signed_generator_exits_2(capsys, tmp_path):

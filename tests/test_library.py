@@ -23,6 +23,7 @@ from stabsynth.library import (
     loads_stab,
 )
 from stabsynth.pauli import PauliString
+from stabsynth.symplectic import CheckMatrix
 
 GOOD = """\
 name: demo
@@ -94,6 +95,14 @@ def test_parse_error_messages_carry_line_numbers():
     assert parse_error(
         "name: d\nn: 4\nk: 2\nXXXI\nZIII"
     ) == "demo.stab:5: generator anticommutes with the generator on line 4"
+    # an anticommuting pair is named before a phase of +/-i
+    assert parse_error(
+        "name: d\nn: 4\nk: 2\niZZII\nXIII"
+    ) == "demo.stab:5: generator anticommutes with the generator on line 4"
+    assert parse_error(
+        "name: d\nn: 4\nk: 2\niZZII\nIIXX"
+    ) == "demo.stab: generator 1 has phase +/-i; stabilizer generators must " \
+        "square to the identity"
 
 
 def test_blank_lines_and_comments_are_skipped():
@@ -114,6 +123,22 @@ def test_code_definition_builds_forms():
     assert check.n == 4 and check.m == 2
     sf = code.standard_form()
     assert sf.k == 2
+
+
+@pytest.mark.parametrize("name", SHIPPED_CODES)
+def test_a_code_is_validated_once(monkeypatch, name):
+    built = []
+    init = CheckMatrix.__init__
+
+    def counting(self, generators):
+        built.append(self)
+        init(self, generators)
+
+    monkeypatch.setattr(CheckMatrix, "__init__", counting)
+    code = load_code(name)
+    sf = code.standard_form()
+    assert built == [sf.base] and code.check_matrix() is sf.base
+    assert isinstance(sf.base.paulis, tuple)
 
 
 def test_golden_config_inlines_witnesses():

@@ -24,10 +24,17 @@ from stabsynth.circuit import GATE_KINDS, ONE_QUBIT_KINDS, Circuit, Gate
 from stabsynth.cli import _load_code, main
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.gf2 import transpose
-from stabsynth.library import SHIPPED_CODES
+from stabsynth.library import SHIPPED_CODES, golden_circuit, load_code
 from stabsynth.pauli import PauliString
 from stabsynth.simulator import apply_pauli, logical_label, run
-from stabsynth.stabilizer import amplitudes, conjugate_rows
+from stabsynth.stabilizer import (
+    Tableau,
+    _inverse,
+    amplitudes,
+    conjugate_rows,
+    same_on,
+    verify_counts,
+)
 from stabsynth.syndrome import syndrome_of
 from test_verify_reference import _stab_text
 
@@ -222,3 +229,39 @@ def test_amplitudes_are_the_dense_state(prepared):
     assert [index for index, _ in amps] == list(support)
     got = np.array([np.exp(1j * np.pi * m / 4) for _, m in amps]) / 2 ** (d / 2)
     assert np.max(np.abs(got - dense[support])) < 1e-12
+
+
+def _count_conjugated_gates(monkeypatch) -> list[int]:
+    """Record how many gates each ``Tableau.conjugate`` call applies."""
+    applied = []
+    conjugate = Tableau.conjugate
+
+    def counting(self, gates):
+        gates = list(gates)
+        applied.append(len(gates))
+        conjugate(self, gates)
+
+    monkeypatch.setattr(Tableau, "conjugate", counting)
+    return applied
+
+
+def test_verify_counts_makes_one_pass_each_way(monkeypatch):
+    # One backward pass pulls the generators and logical Z's back; one
+    # forward pass tracks C|0…0> and carries the logical X's.
+    sf = load_code("thirteen_qubit").standard_form()
+    golden = golden_circuit("thirteen_qubit")
+    applied = _count_conjugated_gates(monkeypatch)
+    assert verify_counts(golden, sf, True) == (128, 128, 1 << 12)  # Z(1)
+    assert sum(applied) == len(_inverse(golden.gates)) + len(golden.gates)
+
+
+def test_same_on_makes_one_pass(monkeypatch):
+    # S on a CX's control commutes with it; S on its target does not.
+    lhs = [Gate("H", (2,)), Gate("S", (1,)), Gate("CX", (1, 2)), Gate("H", (1,))]
+    rhs = [Gate("H", (2,)), Gate("CX", (1, 2)), Gate("S", (1,)), Gate("H", (1,))]
+    other = [Gate("H", (2,)), Gate("CX", (1, 2)), Gate("S", (2,)), Gate("H", (1,))]
+    applied = _count_conjugated_gates(monkeypatch)
+    assert same_on(lhs, rhs, 2)
+    assert sum(applied) == len(lhs) + len(_inverse(rhs))
+    assert not same_on(lhs, other, 2)
+    assert sum(applied) == 2 * (len(lhs) + len(_inverse(rhs)))

@@ -118,7 +118,7 @@ def test_css_check_matrix_matches_parsed_generators(codes):
         [1, 0, 1, 0, 1, 0, 1],
     ]
     check = css_check_matrix(h, h)
-    assert check.paulis == list(codes["steane"].generators)
+    assert check.paulis == codes["steane"].generators
 
 
 def test_unknown_block_name_raises(eight_sf):
