@@ -4,9 +4,11 @@
 it walks the 2^k logical inputs of an n-qubit code, and its exact decision
 relies on every nonzero amplitude of a stabilizer state on at most
 ``MAX_QUBITS`` qubits (at least 2^-13) lying far above the 1e-10
-tolerance that defines a match.  Both ask ``dense_size`` first, so an
-input past the limit fails with one message naming n and the limit before
-any memory is taken.  ``simulator`` re-exports all three names.
+tolerance that defines a match.  ``simulate`` holds no array either, but
+prints up to 2^n nonzero amplitudes of one state.  All three ask
+``dense_size`` first, so an input past the limit fails with one message
+naming n and the limit before any memory is taken.  ``simulator``
+re-exports this module's three names.
 """
 
 from __future__ import annotations

@@ -168,50 +168,54 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     parent only in row t, so its h is the parent's h corrected by row t
     alone, and the goal test is ``h == 0``: each child costs O(1) where
     rebuilding a row tuple and recounting h cost O(n).  For the same
-    reason one list of masked row differences serves the whole search: it
-    is updated at row t on the way into a child and restored on the way
+    reason one list of masked row differences, ``diff``, serves the whole
+    search, and a second, ``cares``, holds each row's masked value: both
+    are updated at row t on the way into a child and restored on the way
     out.  Children are goal- and bound-tested inline, which is exactly
     what a recursive call did first; a node is entered only when it is
-    expanded, which is where the budget is charged.  The table holds only
-    the children that pass the bound test: a child pruned at depth g + 1
-    is pruned by the bound again at any later visit at the same or a
-    greater depth, so its entry would only grow the table.  Expansion
-    order and budget accounting are the same as a row-tuple search that
-    records every child, node for node, including where the budget runs
-    out.  The move undoing the last one needs no special case: its child
-    is the parent, which the table already holds at a smaller depth.
+    expanded, which is where the budget is charged.  The move undoing the
+    last one needs no special case: its child is the parent, which the
+    table already holds at a smaller depth.
 
-    A frontier node (g + h == bound) leaves its children a slack of
-    h - 1, and a child's h is h - 1 only when CX(c, t) fixes a differing
-    row t, that is when row c equals row t's difference on the columns
-    that matter; every other child has f = bound + 1 or bound + 2 and is
-    pruned.  Every next bound a node returns is above ``bound`` and,
-    unless the search ends first, reaches the iteration's minimum, so once
-    a pruned child with f = bound + 1 has been seen, the next bound is
-    bound + 1 whatever the rest of the iteration prunes.  From then on
-    until the iteration ends, three rules cut the work per node:
+    Each iteration raises the bound by one.  A CX changes h by -1, 0 or
+    +1, so a child pruned at bound B has f = B + 1 or B + 2, and the
+    classic next bound, the least f pruned (Korf 1985, "Depth-first
+    iterative-deepening", Artificial Intelligence 27), is one of the two.
+    No proof is known that it is always B + 1, but it was in every
+    completed iteration measured: every invertible matrix with n <= 4
+    under every proper set of zero columns (303,594 searches, 195,698
+    iterations), 15,000 seeded cases with n up to 10, and the shipped
+    codes' ``full`` runs.  Were it B + 2, this loop would search the same
+    states at the same least depths once more at B + 1 and find nothing
+    there: the result would still be a valid circuit no longer than the
+    fallback, but the budget could run out where the classic search's
+    would not.
 
-    - A second list, ``cares``, holds each row's masked value and is
-      updated and restored with ``diff``.  A frontier node's children
-      that pass the bound are exactly the pairs with
-      cares[c] == diff[t] != 0 and t != c.  It indexes only the differing
-      rows whose value some row holds, walks those children in the same
-      (control, target) order and with the same table, goal and budget
-      handling, and returns bound + 1 without looking at the others.
-    - A frontier child has a child that passes the bound only if some
-      nonzero ``diff`` value is also a ``cares`` value.  When none is,
-      the parent charges the budget and records the child in the table,
-      as entering it would, but does not call ``dfs``: it would enter
-      nothing and return bound + 1.
-    - A non-frontier node tests each child's bound before the table.  A
-      pruned child is never entered or recorded either way, and its f
-      could only have lowered the next bound, which is settled, so it
-      needs no lookup.  The goal test comes first; a goal child is never
-      in the table, which holds only nodes with h > 0.
+    With the bound fixed in advance, three rules cut the work per node:
 
-    No node is expanded, skipped or charged differently, so the nodes
-    expanded, where the budget runs out and the gates returned are those
-    of the row-tuple search, node for node.
+    - A child that fails the bound is skipped before the table.  It is
+      never entered or recorded, so a lookup could change nothing; and a
+      child pruned at depth g + 1 is pruned again at any later visit at
+      the same or a greater depth, so the table holds only the children
+      that pass.  The goal test comes first; a goal child is never in the
+      table, which holds only nodes with h > 0.
+    - A frontier node (g + h == bound) leaves its children a slack of
+      h - 1, and a child's h is h - 1 only when CX(c, t) fixes a
+      differing row t, that is when row c equals row t's difference on
+      the columns that matter.  Its children that pass the bound are
+      exactly the pairs with cares[c] == diff[t] != 0 and t != c, and each
+      is a frontier node itself.  It indexes only the differing rows whose
+      value some row holds and walks those children in the same
+      (control, target) order, with the same table, goal and budget
+      handling.
+    - When no nonzero ``diff`` value is also a ``cares`` value, that one
+      set test shows a frontier node has no child to walk: it is charged
+      and returns without looking at any.
+
+    No node is expanded, skipped or charged differently, so wherever the
+    classic next bound is B + 1 the nodes expanded, where the budget runs
+    out and the gates returned are those of the row-tuple search that
+    records every child, node for node.
     """
     goal_rows = _square_rows(matrix)
     n = len(goal_rows)
@@ -246,27 +250,27 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     moves = [[(t, shifts[t], cx[c][t]) for t in range(n) if t != c]
              for c in range(n)]
 
-    upper = len(fallback)
     spent = 0
-    settled = False  # a pruned child with f == bound + 1 was seen
     path: list[Gate] = []
 
-    def dfs(state, g, h, bound, seen, shared):
+    def dfs(state, g, h, bound, seen):
         """Expand ``state`` (h > 0, g + h <= bound).
 
-        ``shared`` is None unless the next bound is settled and ``state``
-        is a frontier node; it then holds the nonzero values ``diff`` and
-        ``cares`` share, and is not empty.  Returns (found, next_bound);
+        Returns whether a goal was found, its gates then on ``path``;
         raises _Exhausted when out of budget.
         """
-        nonlocal spent, settled
+        nonlocal spent
         spent += 1
         if spent > budget:
             raise _Exhausted
         g1 = g + 1
-        if shared is not None:
+        if g + h == bound:
             # Only the children fixing a differing row (cares[c] == diff[t])
-            # pass the bound, and each is a frontier node itself.
+            # pass the bound.
+            shared = set(diff).intersection(cares)
+            shared.discard(0)
+            if not shared:
+                return False
             fixes = {}
             for t, d in enumerate(diff):
                 if d in shared:
@@ -286,25 +290,17 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                         continue
                     path.append(cx[c][t])
                     if h == 1:
-                        return True, bound
+                        return True
                     seen[child] = g1
                     diff[t] = 0
                     cares[t] ^= care
-                    below = set(diff).intersection(cares)
-                    below.discard(0)
-                    if below:
-                        if dfs(child, g1, h - 1, bound, seen, below)[0]:
-                            return True, bound
-                    else:  # fixless child: charged and recorded only
-                        spent += 1
-                        if spent > budget:
-                            raise _Exhausted
+                    if dfs(child, g1, h - 1, bound, seen):
+                        return True
                     diff[t] = care
                     cares[t] ^= care
                     path.pop()
-            return False, bound + 1
+            return False
         slack = bound - g1
-        nxt = None
         for c in range(n):
             row = (state >> shifts[c]) & row_bits
             care = cares[c]
@@ -312,57 +308,29 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                 d = diff[t]
                 hc = h - (d != 0) + (d != care)
                 if hc > slack:
-                    if settled:
-                        continue
-                    child = state ^ (row << shift)
-                    prev = seen.get(child)
-                    if prev is not None and prev <= g1:
-                        continue
-                    fb = g1 + hc
-                    if fb == bound + 1:
-                        settled = True
-                else:
-                    if hc == 0:
-                        path.append(gate)
-                        return True, bound
-                    child = state ^ (row << shift)
-                    prev = seen.get(child)
-                    if prev is not None and prev <= g1:
-                        continue
-                    seen[child] = g1
+                    continue
+                if hc == 0:
                     path.append(gate)
-                    diff[t] = d ^ care
-                    cares[t] ^= care
-                    below = None
-                    if settled and hc == slack:
-                        below = set(diff).intersection(cares)
-                        below.discard(0)
-                    if below is None or below:
-                        found, fb = dfs(child, g1, hc, bound, seen, below)
-                        if found:
-                            return True, bound
-                    else:  # fixless child: charged and recorded only
-                        spent += 1
-                        if spent > budget:
-                            raise _Exhausted
-                        fb = bound + 1
-                    diff[t] = d
-                    cares[t] ^= care
-                    path.pop()
-                if nxt is None or fb < nxt:
-                    nxt = fb
-        return False, bound + 1 if nxt is None else nxt
+                    return True
+                child = state ^ (row << shift)
+                prev = seen.get(child)
+                if prev is not None and prev <= g1:
+                    continue
+                seen[child] = g1
+                path.append(gate)
+                diff[t] = d ^ care
+                cares[t] ^= care
+                if dfs(child, g1, hc, bound, seen):
+                    return True
+                diff[t] = d
+                cares[t] ^= care
+                path.pop()
+        return False
 
-    bound = h_start
     try:
-        while bound < upper:
-            settled = False
-            found, nxt = dfs(start, 0, h_start, bound, {start: 0}, None)
-            if found:
+        for bound in range(h_start, len(fallback)):
+            if dfs(start, 0, h_start, bound, {start: 0}):
                 return tuple(path)
-            if nxt <= bound:
-                break
-            bound = nxt
     except _Exhausted:
         pass
     return fallback

@@ -28,10 +28,11 @@ each basis index by the operator's x bits and reads each sign from one
 (-1)^popcount table, which is built once per n and shared.  Every
 applied phase is a power of i, so it moves amplitudes exactly.
 
-``stabsynth simulate`` and the optimizer's final proof run here;
-``stabsynth verify`` does not, since ``stabilizer`` decides it exactly
-without amplitude arrays, and the tests keep this module as its dense
-reference.
+The optimizer's final proof runs here.  ``stabsynth simulate`` and
+``stabsynth verify`` do not: ``stabilizer.amplitudes`` lists the one
+state's nonzero amplitudes and ``stabilizer`` decides verify exactly,
+both without amplitude arrays, and the tests keep this module as their
+dense reference.
 """
 
 from __future__ import annotations

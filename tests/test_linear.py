@@ -1,5 +1,7 @@
 """CNOT-network synthesis: transfer matrices, elimination, budgeted search."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,11 +339,10 @@ def test_eight_qubit_t_matrix_is_pinned():
 # ---------------------------------------------------------------------------
 # the frontier shortcut against the row-tuple reference
 #
-# Once an iteration has pruned a child at f = bound + 1, ``search_ops``
-# walks only the row-fixing children of each frontier node.  On these
-# seven- to nine-qubit cases that shortcut expands most of the nodes, so
-# a wrong gate, a missed child or a changed node count (which moves the
-# exhaustion point) shows against the reference.
+# ``search_ops`` walks only the row-fixing children of each frontier
+# node.  On these seven- to nine-qubit cases that shortcut expands most
+# of the nodes, so a wrong gate, a missed child or a changed node count
+# (which moves the exhaustion point) shows against the reference.
 
 
 def _staged_searches():
@@ -424,14 +425,14 @@ def test_frontier_search_matches_the_reference_near_exhaustion():
 
 
 # ---------------------------------------------------------------------------
-# the settled-bound rules against the row-tuple reference
+# the per-node rules against the row-tuple reference
 #
-# Once the next bound is settled, ``search_ops`` keeps each row's masked
-# value, charges a frontier child without a fixing move as if it were
-# entered, and tests a child's bound before the table.  A sweep over
-# seeded matrices compares it with the reference at the budget where it
-# first completes and one below, so a missed child, a child charged twice
-# or a stale masked value shows as different gates.
+# ``search_ops`` raises the bound by one per iteration, keeps each row's
+# masked value, returns at once from a frontier node without a fixing
+# move, and tests a child's bound before the table.  The sweeps compare
+# it with the reference at the budget where it first completes and one
+# below, so a missed child, a child charged twice or not at all, a stale
+# masked value or a skipped bound shows as different gates.
 
 
 def _sweep_case(seed):
@@ -473,6 +474,24 @@ def test_search_matches_the_reference_at_the_exhaustion_point_sweep():
             witnessed += witness is not None
     assert pointed >= 150 and witnessed >= 50
     assert cleared >= 90
+
+
+def test_search_matches_the_reference_on_every_small_case():
+    # Every invertible matrix with n = 2 or 3 under every proper set of
+    # zero columns: 6 * 3 + 168 * 7 = 1,194 searches.
+    cases = 0
+    for n in (2, 3):
+        proper = [zero for k in range(n)
+                  for zero in itertools.combinations(range(1, n + 1), k)]
+        for target in itertools.product(range(1, 1 << n), repeat=n):
+            if not gf2.invertible(target):
+                continue
+            for zero_columns in proper:
+                point = _exhaustion_point(target, None, zero_columns)
+                budgets = (0, 1000) if point is None else (point - 1, point)
+                _assert_matches_reference(target, budgets, None, zero_columns)
+                cases += 1
+    assert cases == 1194
 
 
 def test_every_column_zero_needs_no_gates():
