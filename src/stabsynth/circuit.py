@@ -208,6 +208,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Parsed JSON holds exact ints, so a list of JSON integers has only these
+# types; ``true`` is a bool and ``1.0`` a float.
+_INT_ONLY = frozenset((int,))
+
+
 def from_json(text: str) -> Circuit:
     """Parse circuit JSON, naming any schema violation.
 
@@ -244,12 +249,16 @@ def from_json(text: str) -> Circuit:
                 f"gate {idx} must have exactly the fields 'kind' and 'q'"
             )
         q = entry["q"]
-        if not isinstance(q, list) or not all(map(_is_int, q)):
+        if not isinstance(q, list) or not _INT_ONLY.issuperset(map(type, q)):
             raise ValueError(f"gate {idx} field 'q' must be a list of integers")
-        try:
-            gates.append(Gate(entry["kind"], q))
-        except ValueError as exc:
-            raise ValueError(f"gate {idx}: {exc}") from None
+        try:  # an interned gate passed Gate's checks when it was built
+            gate = _GATES[entry["kind"], tuple(q)]
+        except (KeyError, TypeError):  # not built yet, or an unhashable kind
+            try:
+                gate = Gate(entry["kind"], q)
+            except ValueError as exc:
+                raise ValueError(f"gate {idx}: {exc}") from None
+        gates.append(gate)
     entries = doc.get("measurements", [])
     if not isinstance(entries, list):
         raise ValueError("'measurements' must be a list")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -57,9 +58,20 @@ def _load_code(spec: str) -> library.CodeDefinition:
         raise _InputError(f"cannot read code file {spec!r}: {exc}") from exc
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, as ``Path.read_text`` gives it."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        # pathlib drops a trailing "/" and "." parts, and names the file
+        # in that form in its errors: a failed open is left to it.
+        return Path(path).read_text()
+
+
 def _load_circuit(path: str) -> Circuit:
     try:
-        text = Path(path).read_text()
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read circuit file {path!r}: {exc}") from exc
     try:
@@ -327,10 +339,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout went away, as in `stabsynth ... | head`.  As
+        # the Python docs on SIGPIPE advise, point stdout at devnull so the
+        # interpreter's last flush cannot raise again, and fail quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ fixture can be overridden without reinstalling.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -187,24 +188,25 @@ def load_stab(path: str | Path) -> CodeDefinition:
     return loads_stab(p.read_text(), source=str(p))
 
 
-def _override_dir() -> Path | None:
-    value = os.environ.get(FIXTURE_ENV)
-    return Path(value) if value else None
+@functools.cache
+def _package_root():
+    """The package's resource root, resolved once per process."""
+    from importlib import resources  # only a shipped-fixture read needs it
+
+    return resources.files(__package__)
 
 
 def _data_text(subdir: str, filename: str) -> str:
     """Fixture file content: override directory first, package second."""
-    override = _override_dir()
-    if override is not None:
-        candidate = override / filename
+    override = os.environ.get(FIXTURE_ENV)
+    if override:
+        candidate = Path(override) / filename
         if candidate.exists():
             return candidate.read_text()
-    from importlib import resources  # only a shipped-fixture read needs it
-
-    ref = resources.files(__package__) / subdir / filename
-    if not ref.is_file():
-        raise FileNotFoundError(f"no fixture {subdir}/{filename}")
-    return ref.read_text()
+    try:
+        return _package_root().joinpath(subdir, filename).read_text()
+    except (FileNotFoundError, IsADirectoryError):
+        raise FileNotFoundError(f"no fixture {subdir}/{filename}") from None
 
 
 def list_codes() -> list[str]:
@@ -218,10 +220,9 @@ def load_code(spec: str | Path) -> CodeDefinition:
     Shipped names may be given with or without the ``.stab`` suffix;
     an existing file always wins, and a directory never does.
     """
-    p = Path(spec)
-    if p.is_file():
-        return load_stab(p)
-    name = p.name
+    if os.path.isfile(spec):
+        return load_stab(spec)
+    name = Path(spec).name
     if name.endswith(".stab"):
         name = name[: -len(".stab")]
     if name in SHIPPED_CODES:

@@ -35,6 +35,10 @@ from .gf2 import as_bits
 __all__ = ["PauliString", "multiply"]
 
 _LETTERS = "IXZY"  # indexed by x + 2 * z
+# str.translate tables: delete every letter, or spell its x or z bit
+_NOT_LETTERS = str.maketrans("", "", _LETTERS)
+_X_BITS = str.maketrans(_LETTERS, "0101")
+_Z_BITS = str.maketrans(_LETTERS, "0011")
 _PREFIXES = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PHASE_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
 
@@ -86,13 +90,10 @@ class PauliString:
             raise ValueError(f"bad phase prefix {prefix!r} in {text!r}")
         if not s:
             raise ValueError(f"no Pauli letters in {text!r}")
-        x = z = 0
-        for c in s:
-            code = _LETTERS.find(c)
-            if code < 0:
-                raise ValueError(f"bad Pauli letter {c!r} in {text!r}")
-            x = x << 1 | code & 1
-            z = z << 1 | code >> 1
+        if s.translate(_NOT_LETTERS):
+            bad = next(c for c in s if c not in _LETTERS)
+            raise ValueError(f"bad Pauli letter {bad!r} in {text!r}")
+        x, z = int(s.translate(_X_BITS), 2), int(s.translate(_Z_BITS), 2)
         return cls(x, z, _PREFIXES[prefix], n=len(s))
 
     def letter(self, q: int) -> str:

@@ -53,10 +53,15 @@ backward pass pulls the n - k generators and k logical Z's back through
 C†, and one forward pass tracks C|0…0> with the k logical X's riding in
 its tableau, plus an elimination of the n rows at each H whose qubit
 some row has an X on.  When some generator pulls back to no ±Z^z,
-nothing can match and the forward pass is skipped.  Then each of the
-2^k inputs takes a few int operations.  Memory is the n + k rows;
-nothing is kept per input.  ``amplitudes`` adds one Pauli product per
-nonzero amplitude.
+nothing can match and the forward pass is skipped.  Otherwise the
+backward pass also gives every anticommutation bit the decision needs:
+with each generator g pulled back to ±Z^z, C·X_q·C† anticommutes with g
+exactly when bit q of that z is set, so the bits of the stabilized
+count and of the pivot signs a logical X flips are columns of the
+pulled-back Z parts, one transpose instead of k·(n - k + r) Pauli
+tests.  Then each of the 2^k inputs takes a few int operations.  Memory
+is the n + k rows; nothing is kept per input.  ``amplitudes`` adds one
+Pauli product per nonzero amplitude.
 """
 
 from __future__ import annotations
@@ -157,11 +162,6 @@ def conjugate_rows(rows, gates, n: int) -> list[tuple[int, int, int]]:
     return tableau.rows()
 
 
-def _anticommute(x: int, z: int, g) -> int:
-    """1 when the Pauli with bits x, z anticommutes with ``g``, else 0."""
-    return ((x & g.z) ^ (z & g.x)).bit_count() & 1
-
-
 def _pivots(rows) -> dict[int, tuple[int, int, int]]:
     """``rows`` eliminated on their X parts, as exact products.
 
@@ -207,6 +207,21 @@ def _inverse(gates) -> list[Gate]:
     return inverse
 
 
+def _pull_back(gates, paulis) -> list[tuple[int, int, int]]:
+    """C†·g·C as (x, z, c) for each PauliString g of ``paulis``, C the
+    circuit that applies ``gates`` in order."""
+    if not paulis:
+        return []
+    rows = [g.xzc() for g in paulis]
+    return conjugate_rows(rows, _inverse(gates), paulis[0].n)
+
+
+def _fixing_sign(pulled) -> int | None:
+    """``fixing_signs``' answer for g, given C†·g·C as (x, z, c)."""
+    x, _, c = pulled
+    return None if x else {0: 0, 2: 1}.get(c)
+
+
 def fixing_signs(gates, paulis) -> list[int | None]:
     """Per Pauli g: 0 when g fixes psi, 1 when -g does, None when neither.
 
@@ -214,11 +229,7 @@ def fixing_signs(gates, paulis) -> list[int | None]:
     fixes psi exactly when C†·g·C fixes |0...0>, that is when C†·g·C is
     +Z^z, and -g fixes psi when it is -Z^z.
     """
-    if not paulis:
-        return []
-    rows = [g.xzc() for g in paulis]
-    pulled = conjugate_rows(rows, _inverse(gates), paulis[0].n)
-    return [None if x else {0: 0, 2: 1}.get(c) for x, _, c in pulled]
+    return list(map(_fixing_sign, _pull_back(gates, paulis)))
 
 
 def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
@@ -361,17 +372,19 @@ def _pivot_product(sf, y: int):
     return product
 
 
-def _match(zero, sf, signs, conj_x, allow_frame):
+def _match(zero, sf, signs, conj_x, anti, allow_frame):
     """(matched, frame) over every logical input of a circuit C.
 
     ``zero`` is C|0…0>'s tracked (index, m, d) from ``zero_amplitude``,
     ``signs`` come from ``fixing_signs`` over the standard generators and
     then the logical Z's, and ``conj_x`` holds each logical wire's
-    C·X_q·C† as (x, z, c).  Nothing matches and no frame is returned when
-    some input's output differs from its oracle state by more than a sign
-    per basis index, or, with ``allow_frame``, when no single Z frame
-    repairs them all.  Otherwise ``matched`` counts the inputs equal to
-    their oracle state, after ``frame`` when one is allowed.
+    C·X_q·C† as (x, z, c) and ``anti`` the standard generators it
+    anticommutes with, generator i as bit n - k - 1 - i.  Nothing matches
+    and no frame is returned when some input's output differs from its
+    oracle state by more than a sign per basis index, or, with
+    ``allow_frame``, when no single Z frame repairs them all.  Otherwise
+    ``matched`` counts the inputs equal to their oracle state, after
+    ``frame`` when one is allowed.
 
     The frame system of the dense check has one equation per index of
     each input's support; input b's equations span its base row (L_b.x,
@@ -412,15 +425,13 @@ def _match(zero, sf, signs, conj_x, allow_frame):
     # Per logical bit j: P_j, the pivot product with X part P_j.x ^ L_j.x,
     # the pivot signs P_j flips and whether input j alone has ω = -1.
     steps = []
-    for p, ell in zip(conj_x, sf.logical_x):
+    for p, bits, ell in zip(conj_x, anti, sf.logical_x):
         # C|b> has support P_b.x + span and |b_L> has L_b.x + span
         piv = _pivot_product(sf, p[0] ^ ell.x)
         if piv[0] != p[0] ^ ell.x:
             return differ
-        flips = sum(
-            _anticommute(p[0], p[1], g) << n - 1 - i
-            for i, g in enumerate(gens[:r])
-        )
+        # the pivot generators' bits, moved to their columns i < r
+        flips = bits >> n - k - r << n - r
         steps.append((p, piv, flips, omega(p, piv) >> 1))
     solvable = allow_frame and not any(flips for _, _, flips, _ in steps)
     # Inputs in Gray-code order: each differs from the last in logical bit
@@ -458,34 +469,38 @@ def verify_counts(circuit, sf, allow_frame: bool) -> tuple[int, int, int]:
     states differ by more than a sign per basis index, or by more than
     one Z frame when ``allow_frame`` is set.
 
-    The circuit is walked twice: once backward (``fixing_signs``) and,
-    unless some generator pulls back to no ±Z^z, once forward (C|0…0>
-    and the conjugated logical X's together).
+    The circuit is walked twice: once backward (the pull-back that
+    ``fixing_signs`` reads, which also gives every anticommutation bit)
+    and, unless some generator pulls back to no ±Z^z, once forward
+    (C|0…0> and the conjugated logical X's together).
     """
     n, k = sf.n, sf.k
     gens = sf.generators
-    signs = fixing_signs(circuit.gates, gens + sf.logical_z)
-    if None in signs[:len(gens)]:
+    m = len(gens)
+    pulled = _pull_back(circuit.gates, gens + sf.logical_z)
+    signs = list(map(_fixing_sign, pulled))
+    if None in signs[:m]:
         return 0, 0, 0  # the unsigned groups differ
+    logical = circuit.logical_qubits()
     zero, tableau = _zero_state(
-        circuit.gates, n,
-        [(1 << n - q, 0, 0) for q in circuit.logical_qubits()],
+        circuit.gates, n, [(1 << n - q, 0, 0) for q in logical]
     )
     conj_x = tableau.rows()[n:]
-    matched, frame = _match(zero, sf, signs, conj_x, allow_frame)
+    # Each generator g pulls back to C†·g·C = ±Z^z, so C·X_q·C†
+    # anticommutes with g exactly when X_q anticommutes with Z^z, that is
+    # when bit q of z is set: the bits are column q of the pulled-back Z
+    # parts, generator i as bit m - 1 - i.
+    columns = transpose([z for _, z, _ in pulled[:m]], n)
+    anti = [columns[q - 1] for q in logical]
+    matched, frame = _match(zero, sf, signs, conj_x, anti, allow_frame)
     # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with - when g anticommutes with
     # Z_F·P_b, so g fixes input b when that sign cancels the one on g
     # that fixes psi.  The anticommutation bits are linear in b, so the
     # inputs that pass are a coset of a linear map's kernel, or none.
-    signs = signs[:len(gens)]
-    masks = [
-        sum(_anticommute(x, z, g) << i for i, g in enumerate(gens))
-        for x, z, _ in conj_x
-    ]
     target = sum(
-        (sign ^ (g.x & frame).bit_count() & 1) << i
+        (sign ^ (g.x & frame).bit_count() & 1) << m - 1 - i
         for i, (g, sign) in enumerate(zip(gens, signs))
     )
-    got = rank(masks)
-    stabilized = 1 << k - got if rank(masks + [target]) == got else 0
+    got = rank(anti)
+    stabilized = 1 << k - got if rank(anti + [target]) == got else 0
     return stabilized, matched, frame

@@ -219,6 +219,21 @@ _MALFORMED = [
      "gate 1: qubit indices are 1-based, got (0,)"),
     (_doc(gates=[{"kind": "CY", "q": [2, 2]}]),
      "gate 1: CY control equals target (2)"),
+    # Gates from_json does not find interned go through Gate and its checks;
+    # a bool or float qubit is refused even where H(1) is interned.
+    (_doc(gates=[{"kind": 1, "q": [1]}]), "gate 1: unknown gate kind 1"),
+    (_doc(gates=[{"kind": ["CX"], "q": [1, 2]}]),
+     "gate 1: unknown gate kind ['CX']"),
+    (_doc(gates=[{"kind": "H", "q": [1]}, {"kind": "T", "q": [1]}]),
+     "gate 2: unknown gate kind 'T'"),
+    (_doc(gates=[{"kind": "CX", "q": [1, 1]}]),
+     "gate 1: CX control equals target (1)"),
+    (_doc(gates=[{"kind": "H", "q": [1]}, {"kind": "H", "q": [0]}]),
+     "gate 2: qubit indices are 1-based, got (0,)"),
+    (_doc(gates=[{"kind": "H", "q": [1]}, {"kind": "H", "q": [True]}]),
+     "gate 2 field 'q' must be a list of integers"),
+    (_doc(gates=[{"kind": "H", "q": [1]}] * 2 + [{"kind": "H", "q": [1.0]}]),
+     "gate 3 field 'q' must be a list of integers"),
     (_doc(measurements={}), "'measurements' must be a list"),
     (_doc(measurements=[{"q": 1, "bit": 0}, {"q": 1}]),
      "measurement 2 must be an object with fields 'q' and 'bit'"),

@@ -696,3 +696,27 @@ def test_past_the_dense_limit_exits_2(capsys, tmp_path, n, command):
     assert err == (
         f"error: {n} qubits exceed the dense simulator's limit of {MAX_QUBITS}\n"
     )
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly(tmp_path):
+    """`stabsynth simulate ... | head -n 1`: exit 1, no traceback.
+
+    The state of this code has 2^13 amplitudes, about 280 kB of output, so
+    the writer is still printing when the reader closes after one line.
+    """
+    rows = ["I" * i + "XX" + "I" * (12 - i) for i in range(13)]
+    code = tmp_path / "wide.stab"
+    code.write_text("name: wide\nn: 14\nk: 1\n" + "\n".join(rows) + "\n")
+    src = Path(stabsynth.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stabsynth.cli", "simulate", str(code)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"code: wide  logical: |0>\n"
+    assert err == b""

@@ -23,6 +23,56 @@ def test_parse_rejects_bad_input():
         PauliString.parse("--X")
 
 
+def _reference_parse(text):
+    """``PauliString.parse`` as a loop over the letters, one at a time."""
+    s = text.strip()
+    prefix = ""
+    while s and s[0] in "+-i" and (s[0] != "i" or not prefix.endswith("i")):
+        prefix += s[0]
+        s = s[1:]
+        if prefix.endswith("i"):
+            break
+    phases = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
+    if prefix not in phases:
+        raise ValueError(f"bad phase prefix {prefix!r} in {text!r}")
+    if not s:
+        raise ValueError(f"no Pauli letters in {text!r}")
+    x = z = 0
+    for c in s:
+        code = "IXZY".find(c)
+        if code < 0:
+            raise ValueError(f"bad Pauli letter {c!r} in {text!r}")
+        x = x << 1 | code & 1
+        z = z << 1 | code >> 1
+    return PauliString(x, z, phases[prefix], n=len(s))
+
+
+_PARSE_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-", "i", "+i", "-i", "--", "+-", "ii", " "]),
+    st.text(st.sampled_from("IXYZ"), max_size=12),
+    st.text(
+        st.sampled_from("IXYZIXYZQxi1 0_-é\u03a7\U0001d54f\t"), max_size=4
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PARSE_TEXT)
+def test_parse_matches_the_letter_by_letter_reference(text):
+    try:
+        want = _reference_parse(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            PauliString.parse(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = PauliString.parse(text)
+        assert (got.n, got.x, got.z, got.phase_exp) == (
+            want.n, want.x, want.z, want.phase_exp
+        )
+
+
 def test_identity_and_weight():
     one = PauliString.identity(5)
     assert str(one) == "IIIII"

@@ -23,7 +23,7 @@ from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stabsynth.cli
 import stabsynth.simulator
@@ -416,6 +416,8 @@ def _clifford_circuit(rng, encoder, edits):
     st.sampled_from(["mixed", "cnot_cz"]),
     st.sampled_from([0, 0, 0, 0, 1, 3]),
 )
+# a circuit some of whose conjugated logical X's flip pivot-generator signs
+@example(seed=15, code="eight_qubit", gate_set="mixed", edits=1)
 def test_verify_matches_the_reference_on_random_clifford_circuits(
     tmp_path_factory, seed, code, gate_set, edits
 ):
