@@ -68,6 +68,11 @@ class Gate:
     support: int = field(repr=False)  # bit q for each qubit q
 
     def __new__(cls, kind: str, q):
+        q = tuple(q)
+        try:  # an interned gate passed the checks below when it was built
+            return _GATES[kind, q]
+        except (KeyError, TypeError):  # a new gate, or an unhashable part
+            pass
         q = tuple(map(int, q))
         key = (kind, q)
         try:
@@ -251,14 +256,10 @@ def from_json(text: str) -> Circuit:
         q = entry["q"]
         if not isinstance(q, list) or not _INT_ONLY.issuperset(map(type, q)):
             raise ValueError(f"gate {idx} field 'q' must be a list of integers")
-        try:  # an interned gate passed Gate's checks when it was built
-            gate = _GATES[entry["kind"], tuple(q)]
-        except (KeyError, TypeError):  # not built yet, or an unhashable kind
-            try:
-                gate = Gate(entry["kind"], q)
-            except ValueError as exc:
-                raise ValueError(f"gate {idx}: {exc}") from None
-        gates.append(gate)
+        try:
+            gates.append(Gate(entry["kind"], q))
+        except ValueError as exc:
+            raise ValueError(f"gate {idx}: {exc}") from None
     entries = doc.get("measurements", [])
     if not isinstance(entries, list):
         raise ValueError("'measurements' must be a list")

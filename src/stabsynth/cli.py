@@ -39,7 +39,7 @@ from .encoder import require_unsigned, synthesize_encoder
 from .pauli import PauliString
 from .syndrome import build_syndrome_table, format_table, syndrome_of
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _ERROR_SPEC = re.compile(r"^([XYZ])@([0-9]+)$")
 _UNIT = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -58,20 +58,9 @@ def _load_code(spec: str) -> library.CodeDefinition:
         raise _InputError(f"cannot read code file {spec!r}: {exc}") from exc
 
 
-def _read_text(path: str) -> str:
-    """The text of the file at ``path``, as ``Path.read_text`` gives it."""
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError:
-        # pathlib drops a trailing "/" and "." parts, and names the file
-        # in that form in its errors: a failed open is left to it.
-        return Path(path).read_text()
-
-
 def _load_circuit(path: str) -> Circuit:
     try:
-        text = _read_text(path)
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read circuit file {path!r}: {exc}") from exc
     try:
@@ -345,13 +334,26 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader of stdout went away, as in `stabsynth ... | head`.  As
-        # the Python docs on SIGPIPE advise, point stdout at devnull so the
-        # interpreter's last flush cannot raise again, and fail quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader of stdout went away, as in `| head`
         return 1
 
 
+def run() -> int:
+    """The ``stabsynth`` console script: ``main`` on ``sys.argv``.
+
+    A reader that closed stdout early leaves unwritten output behind.  As
+    the Python docs on SIGPIPE advise, stdout is then pointed at devnull,
+    so the interpreter's last flush cannot raise again at exit.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -220,9 +220,10 @@ def load_code(spec: str | Path) -> CodeDefinition:
     Shipped names may be given with or without the ``.stab`` suffix;
     an existing file always wins, and a directory never does.
     """
-    if os.path.isfile(spec):
-        return load_stab(spec)
-    name = Path(spec).name
+    p = Path(spec)
+    if p.is_file():
+        return load_stab(p)
+    name = p.name
     if name.endswith(".stab"):
         name = name[: -len(".stab")]
     if name in SHIPPED_CODES:

@@ -698,21 +698,20 @@ def test_past_the_dense_limit_exits_2(capsys, tmp_path, n, command):
     )
 
 
-def test_a_reader_that_closes_early_ends_the_command_quietly(tmp_path):
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_early_ends_the_command_quietly(
+    tmp_path, unbuffered
+):
     """`stabsynth simulate ... | head -n 1`: exit 1, no traceback.
 
     The state of this code has 2^13 amplitudes, about 280 kB of output, so
     the writer is still printing when the reader closes after one line.
+    Run with stdout buffered and unbuffered (``PYTHONUNBUFFERED``).
     """
     rows = ["I" * i + "XX" + "I" * (12 - i) for i in range(13)]
     code = tmp_path / "wide.stab"
     code.write_text("name: wide\nn: 14\nk: 1\n" + "\n".join(rows) + "\n")
-    src = Path(stabsynth.cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "stabsynth.cli", "simulate", str(code)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = _start_cli("simulate", str(code), unbuffered=unbuffered)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -720,3 +719,44 @@ def test_a_reader_that_closes_early_ends_the_command_quietly(tmp_path):
     assert proc.wait(timeout=60) == 1
     assert first == b"code: wide  logical: |0>\n"
     assert err == b""
+
+
+def test_a_reader_that_closes_before_the_last_flush_leaves_no_message():
+    """`stabsynth syndromes steane | true`: the whole table is still in the
+    stdout buffer when the first write fails, so only the console entry
+    point's redirect keeps the interpreter's last flush quiet."""
+    proc = _start_cli("syndromes", "steane", unbuffered="")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def _start_cli(*argv, unbuffered):
+    src = Path(stabsynth.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.Popen(
+        [sys.executable, "-m", "stabsynth.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def test_a_closed_reader_in_process_returns_1_and_leaves_fd_1(monkeypatch):
+    """``main`` only reports the closed pipe; ``run`` redirects stdout."""
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["syndromes", "steane"]) == 1
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)

@@ -51,6 +51,13 @@ def test_load_code_accepts_suffix_and_path(tmp_path):
     assert load_stab(path).generators == code.generators
 
 
+def test_a_file_spec_with_a_trailing_slash_names_the_file(tmp_path):
+    """``steane.stab/`` is read as the file, not as the shipped ``steane``."""
+    path = tmp_path / "steane.stab"
+    path.write_text(GOOD)
+    assert load_code(f"{path}/").name == "demo"
+
+
 def test_unknown_code_lists_the_shipped_names():
     with pytest.raises(FileNotFoundError) as err:
         load_code("perfect_five")
