@@ -19,8 +19,8 @@ Importing this module loads neither numpy, the dense simulator nor the
 optimizer stack (``optimizer``, whose ``rules`` import runs the exact
 template proofs, and ``linear``); only ``optimize`` loads them, for its
 rewrites and its dense final proof.  ``verify`` and ``simulate`` import
-``stabilizer``, which decides each logical input and lists each
-amplitude exactly from stabilizer rows, with no statevector.
+``stabilizer``, which decides every logical input in closed form and
+lists each amplitude exactly from stabilizer rows, with no statevector.
 """
 
 from __future__ import annotations
@@ -266,8 +266,14 @@ def _cmd_export_qasm(args) -> int:
     return 0
 
 
-@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache  # built on the first call, not at import
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """(the top-level parser, {command name: that command's parser})."""
     parser = argparse.ArgumentParser(
         prog="stabsynth",
         description="Synthesize, optimize, and verify stabilizer-code circuits.",
@@ -322,11 +328,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="OUT.qasm")
     p.set_defaults(func=_cmd_export_qasm)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, parsing argv once.
+
+    The top-level parser hands everything after a command name to that
+    command's parser, so when argv starts with one, its parser parses the
+    rest directly into a namespace that names the command, and what it
+    leaves goes to the top-level ``error``, as the top level would report
+    it.  Any other argv (no command, ``-h``, an unknown command) goes
+    through the top-level parser.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit

@@ -197,11 +197,15 @@ def _package_root():
 
 
 def _data_text(subdir: str, filename: str) -> str:
-    """Fixture file content: override directory first, package second."""
+    """Fixture file content: override directory first, package second.
+
+    Only a file in the override directory overrides; a directory of the
+    same name does not, as in ``load_code``.
+    """
     override = os.environ.get(FIXTURE_ENV)
     if override:
         candidate = Path(override) / filename
-        if candidate.exists():
+        if candidate.is_file():
             return candidate.read_text()
     try:
         return _package_root().joinpath(subdir, filename).read_text()

@@ -1,10 +1,9 @@
 """The largest state a command builds, checked without numpy.
 
-``simulator`` holds 2^n amplitudes per state.  ``verify`` holds none, but
-it walks the 2^k logical inputs of an n-qubit code, and its exact decision
-relies on every nonzero amplitude of a stabilizer state on at most
-``MAX_QUBITS`` qubits (at least 2^-13) lying far above the 1e-10
-tolerance that defines a match.  ``simulate`` holds no array either, but
+``simulator`` holds 2^n amplitudes per state.  ``verify`` holds none and
+walks no input: it decides all 2^k logical inputs in closed form, with an
+exact test for a match, so it needs no limit of its own and keeps this
+one as the command's contract.  ``simulate`` holds no array either, but
 prints up to 2^n nonzero amplitudes of one state.  All three ask
 ``dense_size`` first, so an input past the limit fails with one message
 naming n and the limit before any memory is taken.  ``simulator``

@@ -339,13 +339,15 @@ def _pass_ports(gates, circuit, fires):
     read of ``q`` belong to an earlier run and stay: moving them past that
     read would change what it sees.
 
-    The winner is the least key (weight, position, wires), and two prunes
-    leave it unchanged.  The solver's weight cap starts one below the
-    current gate count, because a realisation that is not lighter is never
-    used, and after each hit drops to one below the best weight so far,
-    because a later position of equal weight loses on position.  A
-    position whose other-wire labels equal the previous position's is
-    skipped: it would yield the same wires at a later position.
+    The winner is the least key (weight, position, wires), and three
+    prunes leave it unchanged.  The solver's weight cap starts one below
+    the current gate count, because a realisation that is not lighter is
+    never used, and after each hit drops to one below the best weight so
+    far, because a later position of equal weight loses on position.  So
+    a run of one add with a nonzero delta, whose cap is 0, is skipped
+    whole.  A position whose other-wire labels equal the previous
+    position's is skipped: it would yield the same wires at a later
+    position.
     """
     n = circuit.n
     out = list(gates)
@@ -358,6 +360,8 @@ def _pass_ports(gates, circuit, fires):
             if b == len(out) or out[b].kind != "H":
                 continue
             delta = snapshots[b][q] ^ snapshots[a + 1][q]
+            if len(old) == 1 and delta:
+                continue  # a nonzero delta takes one add: none is lighter
             wires = [w for w in range(1, n + 1) if w != q]
             best = None
             cap = len(old) - 1

@@ -41,12 +41,14 @@ to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   of the conjugated logical X's) and oracle |b_L> = L_b·|0_L> have the same
   support exactly when P_b.x ^ L_b.x lies in the X span, which is linear
   in b.  They then agree up to ω_b·Z_F_b, F_b on the r pivot columns, set
-  by the signs of the X-pivot generators (linear in b), and ω_b read at
-  index L_b.x, where |b_L> holds 1/√2^r (quadratic in b, one product per
-  input).  Every nonzero amplitude of an n ≤ 26 qubit stabilizer state is
-  at least 2^-13, so the 1e-10 comparisons that define a match are exact
-  tests on ω_b: input b agrees up to a sign per index when ω_b is real,
-  and matches when ω_b = 1 and F_b = 0.
+  by the signs of the X-pivot generators (affine in b), and ω_b read at
+  index L_b.x, where |b_L> holds 1/√2^r.  Input b agrees up to a sign per
+  index when ω_b is real, and matches, exactly, when ω_b = 1 and F_b = 0.
+  ω_b = i^e(b) with e a quadratic function of b over Z4 (Dehaene and De
+  Moor's phase form), so no input is walked: ``_match`` reads e at input
+  0, at each single-bit input and at each pair of them, and counts the
+  matches as the zeros of Q = e/2 over GF(2) on the affine set F_b = 0,
+  from the rank of Q's alternating form and its Arf invariant.
 
 The cost of ``verify_counts`` is about n·gates big-int operations: one
 backward pass pulls the n - k generators and k logical Z's back through
@@ -57,11 +59,11 @@ nothing can match and the forward pass is skipped.  Otherwise the
 backward pass also gives every anticommutation bit the decision needs:
 with each generator g pulled back to ±Z^z, C·X_q·C† anticommutes with g
 exactly when bit q of that z is set, so the bits of the stabilized
-count and of the pivot signs a logical X flips are columns of the
-pulled-back Z parts, one transpose instead of k·(n - k + r) Pauli
-tests.  Then each of the 2^k inputs takes a few int operations.  Memory
-is the n + k rows; nothing is kept per input.  ``amplitudes`` adds one
-Pauli product per nonzero amplitude.
+count and of the pivot signs a logical X flips are read off the
+pull-back's Z columns, with no Pauli test.  Then the inputs take
+k(k + 1)/2 + 1 readings of ω and O((k + r)^2) int operations for the
+count, whatever 2^k is.  Memory is the n + k rows; nothing is kept per
+input.  ``amplitudes`` adds one Pauli product per nonzero amplitude.
 """
 
 from __future__ import annotations
@@ -92,10 +94,14 @@ class Tableau:
         packed = [(x << n | z) << 2 | c & 3 for x, z, c in rows]
         self.cols = transpose(packed, 2 * n + 2)
 
-    def rows(self) -> list[tuple[int, int, int]]:
-        """Every row as (x, z, c), c reduced mod 4."""
+    def rows(self, start: int = 0, stop: int | None = None):
+        """Rows ``start`` to ``stop`` (every row by default) as (x, z, c),
+        c reduced mod 4."""
         n, mask = self.n, (1 << self.n) - 1
-        packed = transpose(self.cols, self.count)
+        stop = self.count if stop is None else stop
+        below, keep = self.count - stop, (1 << stop - start) - 1
+        cols = [col >> below & keep for col in self.cols] if keep else []
+        packed = transpose(cols, stop - start)
         return [(v >> n + 2, v >> 2 & mask, v & 3) for v in packed]
 
     def conjugate(self, gates) -> None:
@@ -207,19 +213,29 @@ def _inverse(gates) -> list[Gate]:
     return inverse
 
 
-def _pull_back(gates, paulis) -> list[tuple[int, int, int]]:
-    """C†·g·C as (x, z, c) for each PauliString g of ``paulis``, C the
-    circuit that applies ``gates`` in order."""
-    if not paulis:
-        return []
-    rows = [g.xzc() for g in paulis]
-    return conjugate_rows(rows, _inverse(gates), paulis[0].n)
+def _pull_back(gates, paulis, n: int) -> Tableau:
+    """C†·g·C for each n-qubit PauliString g of ``paulis``, one row each,
+    C the circuit that applies ``gates`` in order."""
+    tableau = Tableau([g.xzc() for g in paulis], n)
+    tableau.conjugate(_inverse(gates))
+    return tableau
 
 
-def _fixing_sign(pulled) -> int | None:
-    """``fixing_signs``' answer for g, given C†·g·C as (x, z, c)."""
-    x, _, c = pulled
-    return None if x else {0: 0, 2: 1}.get(c)
+def _signs(pulled: Tableau) -> list[int | None]:
+    """``fixing_signs``' answer for each row C†·g·C of ``pulled``.
+
+    A row is ±Z^z when it has no X bit and c is 0 or 2, read for all rows
+    at once off the X columns and the phase bit planes.
+    """
+    n, cols = pulled.n, pulled.cols
+    signless = cols[2 * n + 1]  # c odd
+    for col in cols[:n]:
+        signless |= col
+    minus = cols[2 * n]
+    return [
+        None if signless >> t & 1 else minus >> t & 1
+        for t in range(pulled.count - 1, -1, -1)
+    ]
 
 
 def fixing_signs(gates, paulis) -> list[int | None]:
@@ -229,7 +245,9 @@ def fixing_signs(gates, paulis) -> list[int | None]:
     fixes psi exactly when C†·g·C fixes |0...0>, that is when C†·g·C is
     +Z^z, and -g fixes psi when it is -Z^z.
     """
-    return list(map(_fixing_sign, _pull_back(gates, paulis)))
+    if not paulis:
+        return []
+    return _signs(_pull_back(gates, paulis, paulis[0].n))
 
 
 def zero_amplitude(gates, n: int) -> tuple[int, int, int]:
@@ -269,7 +287,7 @@ def _zero_state(gates, n: int, carried=()):
             done = t
             # with no row's X part on qubit q, no product's is X_q
             x_on_q = tableau.cols[q[0] - 1] >> below
-            partner = _with_x(tableau.rows()[:n], a) if x_on_q else None
+            partner = _with_x(tableau.rows(0, n), a) if x_on_q else None
             if partner is None:
                 m += 4 if index & a else 0
                 d += 1
@@ -324,7 +342,7 @@ def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
         return False
     return all(
         (x, z & free, c) == (a, 0, 0)
-        for (a, _, _), (x, z, c) in zip(rows, tableau.rows()[n:])
+        for (a, _, _), (x, z, c) in zip(rows, tableau.rows(n))
     )
 
 
@@ -372,6 +390,53 @@ def _pivot_product(sf, y: int):
     return product
 
 
+def _sign_sum(c: int, lam: int, adj: list[int]) -> int:
+    """The sum of (-1)^(c + lam·t + Σ_{i<j} adj_ij·t_i·t_j) over all t.
+
+    t ranges over GF(2)^v for the v bitmasks of ``adj``, which is
+    symmetric with a zero diagonal: bit j of ``adj[i]`` is the coefficient
+    of t_i·t_j, and bit i of ``lam`` that of t_i.  A t_i that meets no
+    other variable sums out to a factor 2, or to 0 when its bit of ``lam``
+    is set.  A t_i that meets t_j sums out to 2 times the indicator of
+    t_j = lam_i + Σ_l adj_il·t_l (l ≠ j), and putting that in for t_j
+    leaves a form in two fewer variables (Dickson's reduction).  So the
+    sum is 0 or ±2^(v - h), with 2h the rank of ``adj`` and the sign the
+    form's Arf invariant, in O(v^2) int operations.
+    """
+    adj = list(adj)
+    live = (1 << len(adj)) - 1
+    total = 1
+    while live:
+        i = (live & -live).bit_length() - 1
+        row = adj[i]
+        total <<= 1
+        if not row:
+            if lam >> i & 1:
+                return 0
+            live ^= 1 << i
+            continue
+        j = (row & -row).bit_length() - 1
+        gone = 1 << i | 1 << j
+        live &= ~gone
+        alpha, beta = row & ~gone, adj[j] & ~gone
+        a, b = lam >> i & 1, lam >> j & 1
+        # The t_j terms, t_j·(b + beta·t), with t_j = a + alpha·t: the
+        # product adds alpha⊗beta + beta⊗alpha to adj, its diagonal
+        # alpha & beta going to lam as t·t = t.
+        c ^= a & b
+        lam ^= (beta if a else 0) ^ (alpha if b else 0) ^ (alpha & beta)
+        rest = alpha | beta
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            adj[w] = (
+                adj[w] & ~gone
+                ^ (beta if alpha & low else 0) ^ (alpha if beta & low else 0)
+            )
+    return -total if c & 1 else total
+
+
 def _match(zero, sf, signs, conj_x, anti, allow_frame):
     """(matched, frame) over every logical input of a circuit C.
 
@@ -386,18 +451,32 @@ def _match(zero, sf, signs, conj_x, anti, allow_frame):
     ``matched`` counts the inputs equal to their oracle state, after
     ``frame`` when one is allowed.
 
-    The frame system of the dense check has one equation per index of
-    each input's support; input b's equations span its base row (L_b.x,
-    ω_b = -1) and its r direction rows (X part of pivot generator i, bit i
-    of F_b).  F_b = F_0 for every b unless some conjugated logical X flips
-    a pivot sign, and ω_b = ±1 then follows a linear rule unless some
-    input breaks it; either break puts 0 = 1 in the row space.  If neither
-    happens, the rows of input 0 and of the k single-bit inputs span the
-    whole system, and ``gf2.solve``, whose answer depends only on the row
-    space, gets those r + k rows.
+    No input is walked.  ω_b = i^e(b), and e is a quadratic function of
+    b's bits b_j: P_b and the pivot product are products of commuting
+    Paulis, whose phases gain 2·|z & x| per pair of factors, and the cross
+    term 2·|(P_b.z ^ f0) & piv_b.x| is bilinear.  So
+    e(b) = e(0) + Σ_j a_j·b_j + 2·Σ_{j<l} q_jl·b_j·b_l mod 4, read off e at
+    input 0, at each single-bit input and at each pair of them.
+
+    - The cross terms are even, so some input has an odd e exactly when
+      input 0 or a single-bit input does: it differs by more than a sign.
+    - The frame system of the dense check has one equation per index of
+      each input's support; input b's equations span its base row (L_b.x,
+      Q(b) = e(b)/2) and its r direction rows (X part of pivot generator
+      i, bit i of F_b).  F_b = F_0 for every b unless some conjugated
+      logical X flips a pivot sign, and Q is linear unless Q(0) = 1 or
+      some q_jl = 1; any of these puts 0 = 1 in the row space.  Otherwise
+      the rows of input 0 and of the k single-bit inputs span the whole
+      system, and ``gf2.solve``, whose answer depends only on the row
+      space, gets those r + k rows.
+    - Input b matches, exactly, when ω_b = 1 and F_b = 0.  ``matched`` is
+      the number of zeros of Q on the affine set F_b = 0: half its size
+      plus half the sum of (-1)^Q(b) over it.  With one more variable s_i
+      per pivot column, the sum over s of (-1)^(s·F_b) is 2^r when
+      F_b = 0 and 0 otherwise, so that sum is 2^-r times ``_sign_sum`` of
+      Q(b) + s·F_b over every (b, s).
     """
     n, r, k = sf.n, sf.r, sf.k
-    gens = sf.generators
     differ = (0, 0)
     # Unequal groups, or supports already differing at input 0.
     if None in signs or any(signs[r:]):
@@ -411,7 +490,7 @@ def _match(zero, sf, signs, conj_x, anti, allow_frame):
     m += 2 * c + 4 * (((f0 ^ z) & y).bit_count() & 1)
     if m & 1:
         return differ  # ω_0 is an odd power of e^(iπ/4): no input is real
-    e0 = m >> 1
+    e0 = m >> 1 & 3  # e at input 0
 
     def omega(p, piv):
         """ω_b as a power of i, for P_b = p and pivot product piv.
@@ -422,41 +501,51 @@ def _match(zero, sf, signs, conj_x, anti, allow_frame):
         c = p[2] + piv[2] + 2 * ((p[1] ^ f0) & piv[0]).bit_count()
         return (e0 + c) & 3
 
-    # Per logical bit j: P_j, the pivot product with X part P_j.x ^ L_j.x,
-    # the pivot signs P_j flips and whether input j alone has ω = -1.
+    # Per logical bit j: P_j, the pivot product with X part P_j.x ^ L_j.x
+    # and the pivot signs P_j flips, moved to their columns i < r.
     steps = []
     for p, bits, ell in zip(conj_x, anti, sf.logical_x):
         # C|b> has support P_b.x + span and |b_L> has L_b.x + span
         piv = _pivot_product(sf, p[0] ^ ell.x)
         if piv[0] != p[0] ^ ell.x:
             return differ
-        # the pivot generators' bits, moved to their columns i < r
-        flips = bits >> n - k - r << n - r
-        steps.append((p, piv, flips, omega(p, piv) >> 1))
-    solvable = allow_frame and not any(flips for _, _, flips, _ in steps)
-    # Inputs in Gray-code order: each differs from the last in logical bit
-    # j, so P_b and the pivot product each take one more factor.
-    p = piv = (0, 0, 0)
-    frame, predicted = f0, 0
-    matched = 0
-    for t in range(1 << k):
-        if t:
-            p_j, piv_j, flips, minus = steps[(t & -t).bit_length() - 1]
-            p, piv = multiply(p, p_j), multiply(piv, piv_j)
-            frame ^= flips
-            predicted ^= minus
-        e = omega(p, piv)
-        if e & 1:
-            return differ
-        matched += not (e or frame)
-        solvable = solvable and e >> 1 == predicted
-    if not allow_frame:
-        return matched, 0
-    if not solvable:
+        steps.append((p, piv, bits >> n - k - r << n - r))
+    single = [omega(p, piv) for p, piv, _ in steps]
+    if e0 & 1 or any(e & 1 for e in single):
         return differ
-    rows = [g.x for g in gens[:r]] + [ell.x for ell in sf.logical_x]
-    rhs = list(signs[:r]) + [minus for *_, minus in steps]
-    return 1 << k, solve(rows, rhs)
+    flips = [f for *_, f in steps]
+    # Q(b) = e(b)/2 over GF(2): e0/2 + Σ_j lam_j·b_j + Σ_{j<l} q_jl·b_j·b_l,
+    # with q_jl as adj bits; variables k.. are the s_i of the frame count.
+    lam = sum(((e - e0) & 3) >> 1 << j for j, e in enumerate(single))
+    adj = [0] * k
+    for j, (p, piv, _) in enumerate(steps):
+        for l in range(j):
+            p_l, piv_l, _ = steps[l]
+            pair = omega(multiply(p, p_l), multiply(piv, piv_l))
+            if (pair - single[j] - single[l] + e0) & 2:
+                adj[j] |= 1 << l
+                adj[l] |= 1 << j
+    if allow_frame:
+        if e0 or any(flips) or any(adj):
+            return differ
+        rows = [g.x for g in sf.generators[:r]] + [ell.x for ell in sf.logical_x]
+        rhs = list(signs[:r]) + [e >> 1 for e in single]
+        return 1 << k, solve(rows, rhs)
+    got = rank(flips)
+    if rank(flips + [f0]) != got:
+        return 0, 0  # no input has F_b = 0
+    # s_i, for pivot column i, is variable k + r - 1 - i, so a pivot mask
+    # shifted down by n - r lines up with them.
+    adj += [0] * r
+    for j, f in enumerate(flips):
+        f >>= n - r
+        adj[j] |= f << k
+        while f:
+            low = f & -f
+            f ^= low
+            adj[k + low.bit_length() - 1] |= 1 << j
+    signed = _sign_sum(e0 >> 1, lam | f0 >> n - r << k, adj) >> r
+    return ((1 << k - got) + signed) >> 1, 0
 
 
 def verify_counts(circuit, sf, allow_frame: bool) -> tuple[int, int, int]:
@@ -477,21 +566,20 @@ def verify_counts(circuit, sf, allow_frame: bool) -> tuple[int, int, int]:
     n, k = sf.n, sf.k
     gens = sf.generators
     m = len(gens)
-    pulled = _pull_back(circuit.gates, gens + sf.logical_z)
-    signs = list(map(_fixing_sign, pulled))
+    pulled = _pull_back(circuit.gates, gens + sf.logical_z, n)
+    signs = _signs(pulled)
     if None in signs[:m]:
         return 0, 0, 0  # the unsigned groups differ
     logical = circuit.logical_qubits()
     zero, tableau = _zero_state(
         circuit.gates, n, [(1 << n - q, 0, 0) for q in logical]
     )
-    conj_x = tableau.rows()[n:]
+    conj_x = tableau.rows(n)
     # Each generator g pulls back to C†·g·C = ±Z^z, so C·X_q·C†
     # anticommutes with g exactly when X_q anticommutes with Z^z, that is
-    # when bit q of z is set: the bits are column q of the pulled-back Z
-    # parts, generator i as bit m - 1 - i.
-    columns = transpose([z for _, z, _ in pulled[:m]], n)
-    anti = [columns[q - 1] for q in logical]
+    # when bit q of z is set: the generators' bits of qubit q's Z column,
+    # generator i as bit m - 1 - i.
+    anti = [pulled.cols[n + q - 1] >> k for q in logical]
     matched, frame = _match(zero, sf, signs, conj_x, anti, allow_frame)
     # g·Z_F·P_b·psi = ±Z_F·P_b·(g·psi), with - when g anticommutes with
     # Z_F·P_b, so g fixes input b when that sign cancels the one on g

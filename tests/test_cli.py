@@ -102,6 +102,78 @@ def test_unknown_flag_exits_2(capsys):
     assert err.value.code == 2
 
 
+# Each command's positionals, and a choice option it refuses "bad" for.
+_COMMANDS = {
+    "synth": (["steane"], "--gates"),
+    "optimize": (["c.json"], "--level"),
+    "syndromes": (["steane"], "--format"),
+    "verify": (["steane", "c.json"], None),
+    "simulate": (["steane"], None),
+    "export-qasm": (["c.json"], None),
+}
+
+
+def _argv_rows():
+    rows = [[], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "-h"],
+            ["--", "verify", "steane", "c.json"], ["-h", "verify"]]
+    for command, (positionals, choice) in _COMMANDS.items():
+        rows += [
+            [command, *positionals],
+            [command, "-h"],
+            [command, "--help"],
+            [command],
+            [command, *positionals, "extra"],
+            [command, *positionals, "extra", "more"],
+            [command, *positionals, "--fast"],
+            [command, "--fast", *positionals],
+            [command, "--", *positionals],
+            [command, *positionals, "--", "extra"],
+            [command, *positionals, "-h", "extra"],
+        ]
+        if choice:
+            rows.append([command, *positionals, choice, "bad"])
+            rows.append([command, *positionals, choice])
+    rows += [
+        ["verify", "steane", "c.json", "--allow-frame=1"],
+        ["verify", "steane", "c.json", "--allow"],
+        ["verify", "steane", "c.json", "--allow-frame", "--allow-frame"],
+        ["verify", "steane"],
+        ["optimize", "c.json", "--search-budget", "many"],
+        ["optimize", "c.json", "--witness", "a.json", "--witness", "b.json"],
+        ["optimize", "c.json", "--level", "full", "--report", "r.json"],
+        ["synth", "steane", "--gates", "cnot-cz", "--no-strip", "-o", "o.json"],
+        ["simulate", "steane", "--logical", "1", "--error", "X@2"],
+        ["simulate", "steane", "--error"],
+    ]
+    return rows
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(stdout, stderr, exit code, namespace) of ``parse(argv)``."""
+    code = args = None
+    try:
+        args = vars(parse(list(argv)))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code, args
+
+
+@pytest.mark.parametrize("argv", _argv_rows(), ids=" ".join)
+def test_one_parse_answers_as_the_full_parser(capsys, argv):
+    # The reference is the top-level parser, whose subparser action hands
+    # the rest of argv to the command's parser: help, usage errors, their
+    # exit codes and the parsed values must all be the same.
+    want = _parse_outcome(capsys, _build_parser().parse_args, argv)
+    assert _parse_outcome(capsys, stabsynth.cli._parse, argv) == want
+    out, err, code, args = want
+    assert (code is None) == (args is not None)
+    if code is not None:
+        assert code in (0, 2) and bool(out) == (code == 0) != bool(err)
+    if code == 2:
+        assert err.startswith("usage: stabsynth")
+
+
 def test_verify_passes_strict_mixed(capsys, mixed_eight):
     code, out, _ = run_cli(capsys, "verify", "eight_qubit", str(mixed_eight))
     assert code == 0

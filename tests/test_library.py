@@ -187,6 +187,28 @@ def test_fixture_directory_override(tmp_path, monkeypatch):
     assert config["code"] == "steane"
 
 
+@pytest.fixture()
+def override_dirs(tmp_path, monkeypatch):
+    """An override directory holding a directory named like each fixture."""
+    for name in ("eight_qubit.stab", "steane.config.json",
+                 "steane.optimized.json"):
+        (tmp_path / name).mkdir()
+    monkeypatch.setenv("STABSYNTH_FIXTURE_DIR", str(tmp_path))
+
+
+def test_a_directory_in_the_override_does_not_hide_a_code(override_dirs):
+    code = load_code("eight_qubit")
+    assert (code.name, code.n, code.k) == ("eight_qubit", 8, 3)
+
+
+def test_a_directory_in_the_override_does_not_hide_a_config(override_dirs):
+    assert golden_config("steane")["code"] == "steane"
+
+
+def test_a_directory_in_the_override_does_not_hide_a_golden(override_dirs):
+    assert gate_counts(golden_circuit("steane")) == {"H": 3, "CX": 10}
+
+
 def test_the_package_imports_nothing_and_is_a_plain_directory(tmp_path):
     # A regular package: `import stabsynth` runs an empty __init__, and
     # importlib.resources reads fixtures from one directory path rather

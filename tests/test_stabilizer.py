@@ -30,6 +30,7 @@ from stabsynth.simulator import apply_pauli, logical_label, run
 from stabsynth.stabilizer import (
     Tableau,
     _inverse,
+    _sign_sum,
     amplitudes,
     conjugate_rows,
     same_on,
@@ -111,6 +112,12 @@ def test_conjugate_rows_matches_the_per_row_reference(batch):
     n, gates, rows = batch
     want = [_reference_conjugate(*row, gates, n) for row in rows]
     assert conjugate_rows(rows, gates, n) == want
+    # any run of rows, read alone
+    tableau = Tableau(rows, n)
+    tableau.conjugate(gates)
+    for start in range(len(rows) + 1):
+        assert tableau.rows(start) == want[start:]
+        assert tableau.rows(0, start) == want[:start]
     # one row through PauliString, whose phase is relative to its letters
     x, z, c = rows[0]
     p = PauliString.from_xzc(x, z, c, n)
@@ -265,3 +272,22 @@ def test_same_on_makes_one_pass(monkeypatch):
     assert sum(applied) == len(lhs) + len(_inverse(rhs))
     assert not same_on(lhs, other, 2)
     assert sum(applied) == 2 * (len(lhs) + len(_inverse(rhs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9), st.data())
+def test_sign_sum_is_the_sum_over_every_input(v, data):
+    # Dickson's reduction against the 2^v terms of the sum itself.
+    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = [0] * v
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    lam = data.draw(st.integers(0, (1 << v) - 1))
+    c = data.draw(st.integers(0, 1))
+    want = sum(
+        (-1) ** (c + (lam & t).bit_count() + sum(t >> i & t >> j & 1 for i, j in edges))
+        for t in range(1 << v)
+    )
+    assert _sign_sum(c, lam, adj) == want

@@ -8,6 +8,10 @@ code must match the reference byte for byte: on the shipped codes, on
 seeded random codes, on seeded single-gate mutants and on random Clifford
 circuits, with and without ``--allow-frame``.
 
+``_reference_match`` is the Gray-code walk over all 2^k logical inputs
+that ``stabilizer._match`` replaced with a quadratic form in the input
+bits; both must give the same count and frame.
+
 The decision's parts also have their own dense references.
 ``_reference_compare`` compares each input on all 2^n amplitudes of
 P_b·C|0…0> and L_b·|0_L>; ``check_stabilized`` applies each generator to
@@ -18,8 +22,10 @@ amplitude of C|0…0> and the oracle's pivot products are read against
 
 import io
 import re
+import time
 import tracemalloc
 from contextlib import redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,13 +33,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import stabsynth.cli
 import stabsynth.simulator
+from stabsynth import stabilizer
 from conftest import random_code
 from stabsynth.circuit import GATE_KINDS, Circuit, Gate, to_json
 from stabsynth.cli import _load_circuit, _load_code, main
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.gf2 import solve as gf2_solve
 from stabsynth.library import SHIPPED_CODES, golden_circuit
-from stabsynth.pauli import PauliString
+from stabsynth.pauli import PauliString, multiply
 from stabsynth.stabilizer import (
     _pivot_product,
     fixing_signs,
@@ -238,6 +245,62 @@ def _logical_inputs(circuit, sf):
     return inputs
 
 
+def _reference_match(zero, sf, signs, conj_x, anti, allow_frame):
+    """``stabilizer._match`` by a Gray-code walk over all 2^k inputs.
+
+    The same arguments and answer.  Each input differs from the last in
+    logical bit j, so P_b and the pivot product each take one more factor,
+    and ω_b is read from them afresh.  The frame's prediction for ω_b is
+    the XOR of the single-bit inputs' signs, and F_b the XOR of the pivot
+    signs their conjugated logical X's flip.
+    """
+    n, r, k = sf.n, sf.r, sf.k
+    differ = (0, 0)
+    if None in signs or any(signs[r:]):
+        return differ
+    f0 = sum(sign << n - 1 - i for i, sign in enumerate(signs[:r]))
+    y, m, _ = zero
+    _, z, c = _pivot_product(sf, y)
+    m += 2 * c + 4 * (((f0 ^ z) & y).bit_count() & 1)
+    if m & 1:
+        return differ
+    e0 = m >> 1
+
+    def omega(p, piv):
+        c = p[2] + piv[2] + 2 * ((p[1] ^ f0) & piv[0]).bit_count()
+        return (e0 + c) & 3
+
+    steps = []
+    for p, bits, ell in zip(conj_x, anti, sf.logical_x):
+        piv = _pivot_product(sf, p[0] ^ ell.x)
+        if piv[0] != p[0] ^ ell.x:
+            return differ
+        flips = bits >> n - k - r << n - r
+        steps.append((p, piv, flips, omega(p, piv) >> 1))
+    solvable = allow_frame and not any(flips for _, _, flips, _ in steps)
+    p = piv = (0, 0, 0)
+    frame, predicted = f0, 0
+    matched = 0
+    for t in range(1 << k):
+        if t:
+            p_j, piv_j, flips, minus = steps[(t & -t).bit_length() - 1]
+            p, piv = multiply(p, p_j), multiply(piv, piv_j)
+            frame ^= flips
+            predicted ^= minus
+        e = omega(p, piv)
+        if e & 1:
+            return differ
+        matched += not (e or frame)
+        solvable = solvable and e >> 1 == predicted
+    if not allow_frame:
+        return matched, 0
+    if not solvable:
+        return differ
+    rows = [g.x for g in sf.generators[:r]] + [ell.x for ell in sf.logical_x]
+    rhs = list(signs[:r]) + [minus for *_, minus in steps]
+    return 1 << k, gf2_solve(rows, rhs)
+
+
 def _reference_compare(psi, phi, inputs, allow_frame):
     """Each input's output P_b·psi against L_b·phi on all 2^n amplitudes.
 
@@ -437,6 +500,133 @@ def test_verify_matches_the_reference_on_random_clifford_circuits(
     reference = _reference_verify(str(spec), str(path))
     for allow_frame, want in reference.items():
         assert _cli_verify(spec, path, allow_frame) == want, allow_frame
+
+
+def _logical_prefix(rng, circuit, kind):
+    """``circuit`` after gates on its inputs.
+
+    Kind 0 adds none; kind 1 a random diagonal of Z and CZ gates on the
+    logical wires, which gives e(b) linear and cross terms; kind 2 that and
+    a CX from a logical wire into an ancilla first, whose logical X then
+    flips pivot-generator signs.
+    """
+    if not kind:
+        return circuit
+    logical = circuit.logical_qubits()
+    gates = [Gate("Z", (q,)) for q in logical if rng.integers(2)]
+    gates += [
+        Gate("CZ", (a, b))
+        for i, a in enumerate(logical) for b in logical[i + 1:]
+        if rng.integers(2)
+    ]
+    ancillas = [q for q in range(1, circuit.n + 1) if q not in logical]
+    if kind == 2 and ancillas:
+        wires = (rng.choice(logical), rng.choice(ancillas))
+        gates.insert(0, Gate("CX", tuple(int(w) for w in wires)))
+    return circuit.replace_gates(tuple(gates) + circuit.gates)
+
+
+def _match_args(seed, code, gate_set, edits, prefix):
+    """The arguments but ``allow_frame`` that ``verify_counts`` gives
+    ``_match`` on one seeded circuit, or None when it does not get there."""
+    rng = np.random.default_rng(seed)
+    if isinstance(code, str):
+        sf = _load_code(code).standard_form()
+    else:
+        k = int(rng.integers(1, min(code - 1, 8) + 1))
+        sf = random_code(rng, code, k).standard_form()
+    circuit = _clifford_circuit(rng, synthesize_encoder(sf, gate_set=gate_set), edits)
+    circuit = _logical_prefix(rng, circuit, prefix)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[:-1])
+        return real(*args)
+
+    real = stabilizer._match
+    with mock.patch.object(stabilizer, "_match", recorded):
+        verify_counts(circuit, sf, False)
+    return calls[0] if calls else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["eight_qubit", "steane", "thirteen_qubit", 3, 5, 7, 9, 12]),
+    st.sampled_from(["mixed", "cnot_cz"]),
+    st.sampled_from([0, 0, 1, 1, 3]),
+    st.sampled_from([0, 1, 2]),
+)
+# a circuit some of whose conjugated logical X's flip pivot-generator signs
+@example(seed=15, code="eight_qubit", gate_set="mixed", edits=1, prefix=0)
+def test_closed_form_match_equals_the_gray_walk(seed, code, gate_set, edits, prefix):
+    # Random codes with k ≤ 8, their encoders in both gate sets, one-gate
+    # edits and gates on the inputs: the quadratic form's count and frame
+    # equal the walk over all 2^k inputs, with and without a frame.
+    args = _match_args(seed, code, gate_set, edits, prefix)
+    if args is not None:
+        for allow_frame in (False, True):
+            assert stabilizer._match(*args, allow_frame) == _reference_match(
+                *args, allow_frame
+            ), allow_frame
+
+
+def test_closed_form_match_reaches_every_branch():
+    # Seeded cases like the property test's, each compared with the walk:
+    # between them they take every way through the closed form.
+    codes = ["eight_qubit", "steane", "thirteen_qubit", 3, 5, 7, 9, 12]
+    seen = set()
+    for seed in range(600):
+        args = _match_args(
+            seed, codes[seed % 8], ("mixed", "cnot_cz")[seed // 8 % 2],
+            [0, 0, 1, 1, 3][seed % 5], seed % 3,
+        )
+        if args is None:
+            continue
+        sf, anti = args[1], args[4]
+        flips = any(bits >> sf.n - sf.k - sf.r for bits in anti)
+        for allow_frame in (False, True):
+            got = stabilizer._match(*args, allow_frame)
+            assert got == _reference_match(*args, allow_frame), seed
+            matched, frame = got
+            share = (
+                "none" if not matched else "all" if matched == 1 << sf.k
+                else "coset" if matched & matched - 1 == 0 else "no coset"
+            )
+            seen.add((allow_frame, flips, share, bool(frame)))
+    # Without a frame: inputs matching on a coset or on no coset (Q has
+    # cross terms), with and without pivot flips.  With one: a frame
+    # found, and no frame for flips.
+    assert {
+        (False, flips, share, False)
+        for flips in (False, True) for share in ("none", "coset", "no coset")
+    } | {(False, False, "all", False), (True, False, "all", True),
+         (True, True, "none", False)} <= seen
+
+
+def test_verify_decides_a_26_24_code_in_closed_form(tmp_path):
+    # 2^24 logical inputs, which a walk over them took about 9 s to decide:
+    # the encoder passes and a logical CZ on two inputs matches three
+    # quarters of them, in well under a second for both.
+    rng = np.random.default_rng(26)
+    code = random_code(rng, 26, 24)
+    spec = tmp_path / "c26.stab"
+    spec.write_text(_stab_text(code))
+    encoder = synthesize_encoder(code.standard_form(), gate_set="mixed")
+    a, b = encoder.logical_qubits()[:2]
+    mutant = encoder.replace_gates((Gate("CZ", (a, b)),) + encoder.gates)
+    total = 2**24
+    start = time.perf_counter()
+    for circuit, matched, verdict in (
+        (encoder, total, "PASS"), (mutant, total // 4 * 3, "FAIL")
+    ):
+        path = tmp_path / f"{verdict}.json"
+        path.write_text(to_json(circuit))
+        assert _cli_verify(spec, path, False) == (verdict == "FAIL", (
+            f"stabilized basis states: {total}/{total}\n"
+            f"projector-oracle matches: {matched}/{total}\n{verdict}\n"
+        ))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_logical_cz_on_an_encoder_matches_three_of_four(tmp_path):
