@@ -166,12 +166,13 @@ def test_one_parse_answers_as_the_full_parser(capsys, argv):
     # exit codes and the parsed values must all be the same.
     want = _parse_outcome(capsys, _build_parser().parse_args, argv)
     assert _parse_outcome(capsys, stabsynth.cli._parse, argv) == want
+    # help goes to stdout with exit 0, a usage error to stderr with exit 2
     out, err, code, args = want
     assert (code is None) == (args is not None)
-    if code is not None:
-        assert code in (0, 2) and bool(out) == (code == 0) != bool(err)
-    if code == 2:
-        assert err.startswith("usage: stabsynth")
+    if code == 0:
+        assert out.startswith("usage: stabsynth") and not err
+    elif code is not None:
+        assert code == 2 and not out and err.startswith("usage: stabsynth")
 
 
 def test_verify_passes_strict_mixed(capsys, mixed_eight):
