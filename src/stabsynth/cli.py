@@ -12,15 +12,17 @@ export-qasm  render a circuit JSON file as OpenQASM 2.0
 Codes are named either by a ``.stab`` file path or by a shipped name
 (``eight_qubit``, ``steane``, ``thirteen_qubit``).  Exit codes: 0 on
 success, 1 when a verification fails, 2 on input errors (including
-unknown flags, and circuits or codes past ``limits.MAX_QUBITS``).  All
-commands are deterministic: identical inputs give byte-identical outputs.
+unknown flags, an ``optimize`` circuit past ``simulator.MAX_QUBITS``, and
+a ``simulate`` state with more amplitudes than it lists).  All commands
+are deterministic: identical inputs give byte-identical outputs.
 
 Importing this module loads neither numpy, the dense simulator nor the
 optimizer stack (``optimizer``, whose ``rules`` import runs the exact
 template proofs, and ``linear``); only ``optimize`` loads them, for its
-rewrites and its dense final proof.  ``verify`` and ``simulate`` import
-``stabilizer``, which decides every logical input in closed form and
-lists each amplitude exactly from stabilizer rows, with no statevector.
+rewrites and its dense final proof, which bounds it to 26 qubits.
+``verify`` and ``simulate`` import ``stabilizer``, which decides every
+logical input in closed form and lists each amplitude exactly from
+stabilizer rows, with no statevector, so they run at any n.
 """
 
 from __future__ import annotations
@@ -185,14 +187,9 @@ def _cmd_verify(args) -> int:
             "without measurements"
         )
 
-    from .limits import DenseLimitError, dense_size
     from .stabilizer import verify_counts
 
     n, k = sf.n, sf.k
-    try:
-        dense_size(n)
-    except DenseLimitError as exc:
-        raise _InputError(str(exc)) from exc
     stabilized, matched, frame = verify_counts(circuit, sf, args.allow_frame)
     frame_wires = [q for q in range(1, n + 1) if frame >> (n - q) & 1]
 
@@ -223,13 +220,8 @@ def _cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    from .limits import DenseLimitError, dense_size
     from .stabilizer import amplitudes
 
-    try:
-        dense_size(sf.n)
-    except DenseLimitError as exc:
-        raise _InputError(str(exc)) from exc
     error = None
     if args.error:
         m = _ERROR_SPEC.match(args.error)
@@ -244,7 +236,10 @@ def _cmd_simulate(args) -> int:
         error = PauliString.parse(
             "".join(letter if x == qubit else "I" for x in range(1, sf.n + 1))
         )
-    d, amps = amplitudes(encoder, bits, error)
+    try:
+        d, amps = amplitudes(encoder, bits, error)
+    except ValueError as exc:  # more amplitudes than are listed
+        raise _InputError(str(exc)) from exc
 
     print(f"code: {code.name}  logical: |{bits}>", end="")
     print(f"  error: {args.error}" if error is not None else "")

@@ -191,14 +191,19 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
     fallback, but the budget could run out where the classic search's
     would not.
 
-    With the bound fixed in advance, three rules cut the work per node:
+    With the bound fixed in advance, four rules cut the work per node:
 
     - A child that fails the bound is skipped before the table.  It is
       never entered or recorded, so a lookup could change nothing; and a
       child pruned at depth g + 1 is pruned again at any later visit at
       the same or a greater depth, so the table holds only the children
-      that pass.  The goal test comes first; a goal child is never in the
-      table, which holds only nodes with h > 0.
+      that pass.  A goal child is never in the table, which holds only
+      nodes with h > 0.
+    - Only a frontier node's children are goal-tested.  A non-frontier
+      node has g + h < bound with h >= 1, so a goal child there would be
+      at depth g + 1 < bound.  The iteration with bound g + 1 (not below
+      the first, as h is admissible) ran earlier and completely, so it
+      would already have returned that goal.
     - A frontier node (g + h == bound) leaves its children a slack of
       h - 1, and a child's h is h - 1 only when CX(c, t) fixes a
       differing row t, that is when row c equals row t's difference on
@@ -309,9 +314,6 @@ def search_ops(matrix, *, budget=DEFAULT_SEARCH_BUDGET, witness=None,
                 hc = h - (d != 0) + (d != care)
                 if hc > slack:
                     continue
-                if hc == 0:
-                    path.append(gate)
-                    return True
                 child = state ^ (row << shift)
                 prev = seen.get(child)
                 if prev is not None and prev <= g1:

@@ -285,13 +285,12 @@ def _dataflow(gates, roles):
     ``b``, with ``a = -1`` before the first read and ``b = len(gates)``
     after the last.  Nothing inside a run sees ``t``, so its adds may
     change anywhere in ``(a, b]``: this is the one window of both dataflow
-    passes.  Runs with adds come in order of ``b``.  Returns ``None`` if a
-    CY occurs.  A fresh column after X or Y stands for any value of the
-    wire, so every label identity the passes use holds for the flipped
-    value too.
+    passes.  Runs with adds come in order of ``b``.  A fresh column after
+    X or Y stands for any value of the wire, so every label identity the
+    passes use holds for the flipped value too.  The gates hold no CY:
+    retarget expands every CY before the dataflow passes run, and no later
+    pass writes one.
     """
-    if any(g.kind == "CY" for g in gates):
-        return None
     n = len(roles)
     labels = [0] * (n + 1)
     n_cols = 0
@@ -352,10 +351,7 @@ def _pass_ports(gates, circuit, fires):
     n = circuit.n
     out = list(gates)
     while True:
-        flow = _dataflow(out, circuit.roles)
-        if flow is None:
-            return out
-        snapshots, runs = flow
+        snapshots, runs = _dataflow(out, circuit.roles)
         for q, a, b, old in runs:
             if b == len(out) or out[b].kind != "H":
                 continue
@@ -414,10 +410,7 @@ def _pass_fold(gates, circuit, fires):
     n = circuit.n
     out = list(gates)
     while True:
-        flow = _dataflow(out, circuit.roles)
-        if flow is None:
-            return out
-        snapshots, runs = flow
+        snapshots, runs = _dataflow(out, circuit.roles)
         best = None
         for t, a, b, run in runs:
             if len(run) < 3:
@@ -558,13 +551,15 @@ def _resynthesize_blocks(gates, n, budget, report):
 
 
 def _best_witness(candidates, matrix, n, zero_columns):
-    """Shortest candidate realising ``matrix`` up to the don't-care columns."""
+    """Shortest candidate realising ``matrix`` up to the don't-care columns.
+
+    Every candidate is a CX list: the region by construction, and each
+    witness as ``optimize`` builds it from its pairs.
+    """
     mask = care_mask(n, zero_columns)
     best = None
     for cand in candidates:
         cand = tuple(cand)
-        if any(g.kind != "CX" for g in cand):
-            continue
         got = block_to_matrix(cand, n)
         if any((a ^ b) & mask for a, b in zip(got, matrix)):
             continue

@@ -15,7 +15,6 @@ is asserted to stay within 1e-10 of 1.  ``circuits_equivalent`` proves
 up to ``BATCH_AMPS`` (2^13) amplitudes of basis inputs per execution.
 No state is allocated on more than ``MAX_QUBITS`` (26) qubits: past it,
 ``dense_size`` raises ``DenseLimitError`` before any memory is taken.
-All three live in the numpy-free ``limits`` and are re-exported here.
 
 This module is deliberately independent of the synthesis path wherever it
 serves as an oracle: ``projector_encode`` builds encoded states directly
@@ -28,11 +27,12 @@ each basis index by the operator's x bits and reads each sign from one
 (-1)^popcount table, which is built once per n and shared.  Every
 applied phase is a power of i, so it moves amplitudes exactly.
 
-The optimizer's final proof runs here.  ``stabsynth simulate`` and
-``stabsynth verify`` do not: ``stabilizer.amplitudes`` lists the one
-state's nonzero amplitudes and ``stabilizer`` decides verify exactly,
-both without amplitude arrays, and the tests keep this module as their
-dense reference.
+The optimizer's final proof runs here, so ``optimize`` is the one
+command that ``MAX_QUBITS`` bounds.  ``stabsynth simulate`` and
+``stabsynth verify`` do not run here: ``stabilizer.amplitudes`` lists the
+one state's nonzero amplitudes and ``stabilizer`` decides verify exactly,
+both without amplitude arrays and at any n, and the tests keep this
+module as their dense reference.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .encoder import synthesize_syndrome_circuit
-from .limits import MAX_QUBITS, DenseLimitError, dense_size
 from .pauli import PauliString
 from .symplectic import StandardForm
 
@@ -67,11 +66,33 @@ __all__ = [
 
 TOL = 1e-10
 
+# No state has more qubits.  A proof at the limit holds two 2^26-amplitude
+# buffers of 1 GiB each and the H scratch halves of both.
+MAX_QUBITS = 26
+
 # At most this many amplitudes per side in one ``circuits_equivalent``
 # execution: B = max(1, BATCH_AMPS >> n) basis inputs per plan run.
 BATCH_AMPS = 1 << 13
 
 _SQ = 1.0 / np.sqrt(2.0)
+
+
+class DenseLimitError(ValueError):
+    """A dense state would have more than ``MAX_QUBITS`` qubits."""
+
+
+def dense_size(n: int) -> int:
+    """2^n, the amplitudes of an n-qubit state; past ``MAX_QUBITS`` an error.
+
+    Every allocation of 2^n amplitudes or table entries asks here first,
+    so an input too large for dense simulation fails before any memory is
+    taken, with one message naming n and the limit.
+    """
+    if n > MAX_QUBITS:
+        raise DenseLimitError(
+            f"{n} qubits exceed the dense simulator's limit of {MAX_QUBITS}"
+        )
+    return 1 << n
 
 
 class StateVector:

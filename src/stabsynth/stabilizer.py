@@ -346,6 +346,12 @@ def same_on(lhs, rhs, n: int, zero: int = 0) -> bool:
     )
 
 
+# The most amplitudes ``amplitudes`` lists is 2^_MAX_LISTED.  A state's
+# support has at most 2^n indices, so 26 is exactly the most that any
+# state on n <= 26 qubits lists: every such state is listed.
+_MAX_LISTED = 26
+
+
 def amplitudes(circuit, bits: str, error=None):
     """(d, [(index, m), ...]): E·C|b> holds e^(iπ·m/4)/√2^d at each index.
 
@@ -360,12 +366,18 @@ def amplitudes(circuit, bits: str, error=None):
     Gray-code order, one multiplication each.  P then moves the amplitude
     at j to j ^ P.x with the factor i^P.c·(-1)^|P.z & j|.  The rows are
     the ones ``zero_amplitude`` tracks, and X^b rides in the same tableau,
-    so one pass over the gates conjugates them all.
+    so one pass over the gates conjugates them all.  A state with d past
+    ``_MAX_LISTED`` raises ``ValueError`` after that pass, before the walk.
     """
     n, gates = circuit.n, circuit.gates
     logical = circuit.logical_qubits()
     b = sum(int(bit) << n - q for bit, q in zip(bits, logical))
     (index, m, d), tableau = _zero_state(gates, n, [(b, 0, 0)])
+    if d > _MAX_LISTED:
+        raise ValueError(
+            f"the state has 2^{d} nonzero amplitudes; "
+            f"at most 2^{_MAX_LISTED} are listed"
+        )
     *rows, moved = tableau.rows()
     x, z, c = multiply(error.xzc() if error else (0, 0, 0), moved)
     pivots = list(_pivots(rows).values())

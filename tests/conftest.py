@@ -32,6 +32,33 @@ def random_code(rng, n, k):
     return loads_stab(f"name: random\nn: {n}\nk: {k}\n" + "\n".join(rows))
 
 
+def surface_stab(d):
+    """The rotated surface code [[d^2, 1, d]] for odd d, as ``.stab`` text.
+
+    Qubit (r, c) of the d x d grid is number d·r + c + 1.  The (d - 1)^2
+    faces carry weight-4 checks, X where r + c is even and Z where it is
+    odd; the faces just outside the grid that would be X give weight-2 X
+    checks on the top and bottom edges, and those that would be Z give
+    weight-2 Z checks on the left and right edges: d^2 - 1 rows.
+    """
+    def row(letter, cells):
+        wires = {d * r + c for r, c in cells}
+        return "".join(letter if q in wires else "I" for q in range(d * d))
+
+    rows = []
+    for r in range(-1, d):
+        for c in range(-1, d):
+            letter = "XZ"[(r + c) % 2]
+            cells = [(r + a, c + b) for a in (0, 1) for b in (0, 1)]
+            cells = [(i, j) for i, j in cells if 0 <= i < d and 0 <= j < d]
+            inside = 0 <= r < d - 1 and 0 <= c < d - 1
+            on_x_edge = letter == "X" and c in range(d - 1) and r in (-1, d - 1)
+            on_z_edge = letter == "Z" and r in range(d - 1) and c in (-1, d - 1)
+            if inside or on_x_edge or on_z_edge:
+                rows.append(row(letter, cells))
+    return f"name: surface{d}\nn: {d * d}\nk: 1\n" + "\n".join(rows) + "\n"
+
+
 @pytest.fixture(scope="session")
 def codes():
     """Mapping name -> CodeDefinition for every shipped code."""

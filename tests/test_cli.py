@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from stabsynth.cli import _build_parser, main
 from stabsynth.library import golden_circuit
 from stabsynth.simulator import MAX_QUBITS
 
-from conftest import random_code
+from conftest import random_code, surface_stab
 
 
 def run_cli(capsys, *argv):
@@ -284,6 +285,20 @@ def test_verify_rejects_wrong_code(capsys, mixed_eight):
     code, _, err = run_cli(capsys, "verify", "steane", str(mixed_eight))
     assert code == 2
     assert "8 qubits" in err
+
+
+def test_verify_rejects_a_circuit_with_the_wrong_logical_inputs(
+    capsys, tmp_path, mixed_eight
+):
+    # The eight_qubit encoder with one of its three inputs marked an
+    # ancilla acts on the code's 8 qubits but marks 2 inputs.
+    doc = json.loads(mixed_eight.read_text())
+    doc["roles"][doc["roles"].index("logical_input")] = "ancilla_zero"
+    path = tmp_path / "two_inputs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "eight_qubit", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: circuit marks 2 logical inputs but eight_qubit has k=3\n"
 
 
 def test_optimize_rules_and_full(capsys, tmp_path, cnotcz_eight):
@@ -755,19 +770,57 @@ def _repetition(tmp_path, n):
 
 
 @pytest.mark.parametrize("n", [40, 100])
-@pytest.mark.parametrize("command", ["optimize", "verify", "simulate"])
+@pytest.mark.parametrize("command", ["optimize"])
 def test_past_the_dense_limit_exits_2(capsys, tmp_path, n, command):
-    code_path, circuit_path = _repetition(tmp_path, n)
-    argv = {
-        "optimize": [circuit_path],
-        "verify": [code_path, circuit_path],
-        "simulate": [code_path],
-    }[command]
-    code, out, err = run_cli(capsys, command, *argv)
+    # Only optimize holds dense states, for its final proof.
+    _, circuit_path = _repetition(tmp_path, n)
+    code, out, err = run_cli(capsys, command, circuit_path)
     assert code == 2
     assert out == ""
     assert err == (
         f"error: {n} qubits exceed the dense simulator's limit of {MAX_QUBITS}\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["rep40", "rep100", "surface7"])
+def test_verify_passes_past_the_dense_limit(capsys, tmp_path, name):
+    # verify holds no statevector, so it decides a synthesized encoder at
+    # any n: the repetition codes at n = 40 and 100, and [[49, 1, 7]].
+    if name.startswith("rep"):
+        code_path, _ = _repetition(tmp_path, int(name[3:]))
+    else:
+        code_path = tmp_path / f"{name}.stab"
+        code_path.write_text(surface_stab(int(name[7:])))
+    circuit_path = tmp_path / f"{name}.json"
+    assert run_cli(capsys, "synth", str(code_path), "-o", str(circuit_path))[0] == 0
+    code, out, err = run_cli(capsys, "verify", str(code_path), str(circuit_path))
+    assert (code, out, err) == (0, (
+        "stabilized basis states: 2/2\n"
+        "projector-oracle matches: 2/2\nPASS\n"
+    ), "")
+
+
+def test_simulate_past_the_dense_limit_lists_its_one_amplitude(capsys, tmp_path):
+    # The repetition code's |0_L> is |0...0>: one amplitude at n = 40.
+    code_path, _ = _repetition(tmp_path, 40)
+    code, out, err = run_cli(capsys, "simulate", code_path)
+    assert (code, err) == (0, "")
+    assert out == f"code: rep40  logical: |0>\n  +1.0000+0.0000i |{'0' * 40}>\n"
+
+
+def test_simulate_refuses_more_amplitudes_than_it_lists(capsys, tmp_path):
+    # The [[28, 1]] code with the 27 checks X_i X_(i+1) has d = 27 pivot
+    # rows, so its state has 2^27 nonzero amplitudes: one line, before any
+    # is listed, and at once.
+    rows = ["I" * i + "XX" + "I" * (26 - i) for i in range(27)]
+    spec = tmp_path / "wide28.stab"
+    spec.write_text("name: wide28\nn: 28\nk: 1\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", str(spec))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the state has 2^27 nonzero amplitudes; at most 2^26 are listed\n"
     )
 
 

@@ -173,6 +173,16 @@ def test_golden_circuits_match_their_reports():
         assert any(note.startswith("optimized: level=") for note in circuit.notes)
 
 
+@pytest.mark.parametrize("read, fixture", [
+    (golden_config, "nine_qubit.config.json"),
+    (golden_circuit, "nine_qubit.optimized.json"),
+])
+def test_an_unshipped_golden_is_not_found(read, fixture):
+    with pytest.raises(FileNotFoundError) as info:
+        read("nine_qubit")
+    assert str(info.value) == f"no fixture golden/{fixture}"
+
+
 def test_fixture_directory_override(tmp_path, monkeypatch):
     override = tmp_path / "fixtures"
     override.mkdir()

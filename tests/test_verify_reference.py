@@ -34,7 +34,7 @@ from hypothesis import example, given, settings, strategies as st
 import stabsynth.cli
 import stabsynth.simulator
 from stabsynth import stabilizer
-from conftest import random_code
+from conftest import random_code, surface_stab
 from stabsynth.circuit import GATE_KINDS, Circuit, Gate, to_json
 from stabsynth.cli import _load_circuit, _load_code, main
 from stabsynth.encoder import synthesize_encoder
@@ -627,6 +627,48 @@ def test_verify_decides_a_26_24_code_in_closed_form(tmp_path):
             f"projector-oracle matches: {matched}/{total}\n{verdict}\n"
         ))
     assert time.perf_counter() - start < 1.0
+
+
+def test_verify_past_the_dense_limit_counts_as_the_walk(tmp_path):
+    # One-gate mutants of encoders at n = 40 and 49, where no dense
+    # reference fits: verify prints what the Gray walk over the 2^k inputs
+    # gives, with and without a frame.  k = 1, so the walk is two steps.
+    rng = np.random.default_rng(40)
+    rep = "name: rep40\nn: 40\nk: 1\n" + "\n".join(
+        "I" * i + "ZZ" + "I" * (38 - i) for i in range(39)
+    ) + "\n"
+    outputs = set()
+    for tag, text in (("rep40", rep), ("surface7", surface_stab(7))):
+        spec = tmp_path / f"{tag}.stab"
+        spec.write_text(text)
+        sf = _load_code(str(spec)).standard_form()
+        for gate_set in ("mixed", "cnot_cz"):
+            encoder = synthesize_encoder(sf, gate_set=gate_set)
+            # seeded edits, and an X, Z or S on the input wire first: a
+            # logical gate, so the matches follow from the walk's phases
+            (wire,) = encoder.logical_qubits()
+            mutants = [_mutant(rng, encoder) for _ in range(8)] + [
+                encoder.replace_gates((Gate(kind, (wire,)),) + encoder.gates)
+                for kind in "XZS"
+            ]
+            for j, mutant in enumerate(mutants):
+                path = tmp_path / f"{tag}_{gate_set}_{j}.json"
+                path.write_text(to_json(mutant))
+                for allow_frame in (False, True):
+                    got = _cli_verify(spec, path, allow_frame)
+                    with mock.patch.object(stabilizer, "_match", _reference_match):
+                        assert _cli_verify(spec, path, allow_frame) == got
+                    outputs.add(got)
+    # (exit code, stabilized, matched, frame): a PASS with and without a
+    # frame, every input stabilized with one or none matching, and neither
+    counts = {
+        (rc, *re.findall(r": (\d)/2", out), "frame" in out)
+        for rc, out in outputs
+    }
+    assert {
+        (0, "2", "2", False), (0, "2", "2", True), (1, "2", "1", False),
+        (1, "2", "0", False), (1, "0", "0", False),
+    } <= counts
 
 
 def test_logical_cz_on_an_encoder_matches_three_of_four(tmp_path):
