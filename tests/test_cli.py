@@ -678,7 +678,7 @@ try:
 except SystemExit as done:
     assert done.code == 0
 unloaded("--help")
-circuit = sys.argv[1]
+circuit, golden, rep40 = sys.argv[1:]
 for argv, want in (
     (["synth", "steane", "-o", circuit], 0),
     (["syndromes", "steane"], 0),
@@ -686,10 +686,14 @@ for argv, want in (
     (["verify", "no_such_code", circuit], 2),
     (["verify", "steane", circuit], 0),
     (["verify", "steane", circuit, "--allow-frame"], 0),
-    (["verify", "thirteen_qubit", sys.argv[2]], 1),
-    (["verify", "thirteen_qubit", sys.argv[2], "--allow-frame"], 0),
+    (["verify", "thirteen_qubit", golden], 1),
+    (["verify", "thirteen_qubit", golden, "--allow-frame"], 0),
     (["simulate", "steane", "--error", "X@3"], 0),
     (["simulate", "thirteen_qubit", "--logical", "1011001", "--error", "Y@5"], 0),
+    # past the dense simulator's 26 qubits
+    (["synth", rep40, "-o", circuit], 0),
+    (["verify", rep40, circuit], 0),
+    (["simulate", rep40, "--error", "X@40"], 0),
 ):
     assert main(argv) == want, argv
     unloaded(argv)
@@ -701,11 +705,12 @@ unloaded("rules", {"numpy", "stabsynth.simulator"})
 def test_commands_without_amplitudes_load_no_numpy(tmp_path):
     golden = tmp_path / "thirteen_qubit.json"
     golden.write_text(to_json(golden_circuit("thirteen_qubit")))
+    rep40, _ = _repetition(tmp_path, 40)
     src = Path(stabsynth.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", _NUMPY_FREE, str(tmp_path / "steane.json"),
-         str(golden)],
+         str(golden), rep40],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
