@@ -11,10 +11,15 @@ export-qasm  render a circuit JSON file as OpenQASM 2.0
 
 Codes are named either by a ``.stab`` file path or by a shipped name
 (``eight_qubit``, ``steane``, ``thirteen_qubit``).  Exit codes: 0 on
-success, 1 when a verification fails, 2 on input errors (including
-unknown flags, an ``optimize`` circuit past ``simulator.MAX_QUBITS``, and
-a ``simulate`` state with more amplitudes than it lists).  All commands
-are deterministic: identical inputs give byte-identical outputs.
+success, 1 when a verification fails or stdout's reader goes away, 2 on
+input errors: unknown flags, every ``ValueError`` a command raises (an
+``optimize`` circuit past ``simulator.MAX_QUBITS`` and a ``simulate``
+state with more amplitudes than it lists among them), and every file it
+cannot read or write.  ``main`` alone turns those into one
+``error: <message>`` line on stderr; a command only re-raises, as a
+``ValueError``, an error that is not one or that needs a file name.
+All commands are deterministic: identical inputs give byte-identical
+outputs.
 
 Importing this module loads neither numpy, the dense simulator nor the
 optimizer stack (``optimizer``, whose ``rules`` import runs the exact
@@ -47,48 +52,44 @@ _ERROR_SPEC = re.compile(r"^([XYZ])@([0-9]+)$")
 _UNIT = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-class _InputError(Exception):
-    """User input the CLI cannot act on (exit code 2)."""
-
-
 def _load_code(spec: str) -> library.CodeDefinition:
     try:
         return library.load_code(spec)
-    except (FileNotFoundError, library.StabParseError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
+    except FileNotFoundError as exc:
+        raise ValueError(str(exc)) from exc
     except OSError as exc:
-        raise _InputError(f"cannot read code file {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot read code file {spec!r}: {exc}") from exc
 
 
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _InputError(f"cannot read circuit file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read circuit file {path!r}: {exc}") from exc
     try:
         return from_json(text)
     except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
     gate_set = args.gates.replace("-", "_")
-    try:
-        circuit = synthesize_encoder(
-            sf, gate_set=gate_set, strip=not args.no_strip,
-            name=f"{code.name}_encoder",
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    circuit = synthesize_encoder(
+        sf, gate_set=gate_set, strip=not args.no_strip,
+        name=f"{code.name}_encoder",
+    )
     from .stabilizer import fixing_signs
 
     # Some generator neither fixes nor negates C|0...0>: no Z frame can
@@ -107,7 +108,7 @@ def _cmd_synth(args) -> int:
             "letters, so it fixes no real state" if odd_y is not None
             else "its state is not stabilized up to a Z frame"
         )
-        raise _InputError(
+        raise ValueError(
             f"the {args.gates} encoder cannot encode {code.name}: "
             f"{cause}; use --gates mixed"
         )
@@ -129,7 +130,7 @@ def _cmd_optimize(args) -> int:
         except (
             OSError, ValueError, KeyError, TypeError, RecursionError
         ) as exc:
-            raise _InputError(f"bad witness file {path!r}: {exc}") from exc
+            raise ValueError(f"bad witness file {path!r}: {exc}") from exc
     from .optimizer import OptimizationError, optimize
 
     # No --search-budget leaves optimize its own default budget.
@@ -143,20 +144,17 @@ def _cmd_optimize(args) -> int:
             block_witnesses=witnesses or None,
             **budget,
         )
-    except (ValueError, OptimizationError) as exc:
-        raise _InputError(str(exc)) from exc
+    except OptimizationError as exc:
+        raise ValueError(str(exc)) from exc
     _write_output(to_json(optimized), args.output)
     if args.report:
-        Path(args.report).write_text(report.to_json())
+        _write_output(report.to_json(), args.report)
     return 0
 
 
 def _cmd_syndromes(args) -> int:
     code = _load_code(args.code)
-    try:
-        table = build_syndrome_table(code.standard_form())
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    table = build_syndrome_table(code.standard_form())
     sys.stdout.write(format_table(table, args.format))
     return 0
 
@@ -164,24 +162,21 @@ def _cmd_syndromes(args) -> int:
 def _cmd_verify(args) -> int:
     code = _load_code(args.code)
     sf = code.standard_form()
-    try:
-        require_unsigned(sf)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    require_unsigned(sf)
     circuit = _load_circuit(args.circuit)
     if circuit.n != sf.n:
-        raise _InputError(
+        raise ValueError(
             f"circuit acts on {circuit.n} qubits but {code.name} has {sf.n}"
         )
     logical = circuit.logical_qubits()
     if len(logical) != sf.k:
-        raise _InputError(
+        raise ValueError(
             f"circuit marks {len(logical)} logical inputs "
             f"but {code.name} has k={sf.k}"
         )
     if circuit.measurements:
         measured = sorted({q for q, _ in circuit.measurements})
-        raise _InputError(
+        raise ValueError(
             f"circuit measures {'qubit' if len(measured) == 1 else 'qubits'} "
             f"{', '.join(map(str, measured))}; verify checks encoders "
             "without measurements"
@@ -211,35 +206,29 @@ def _cmd_simulate(args) -> int:
     sf = code.standard_form()
     bits = args.logical if args.logical is not None else "0" * sf.k
     if len(bits) != sf.k or any(b not in "01" for b in bits):
-        raise _InputError(
+        raise ValueError(
             f"--logical wants {sf.k} bits of 0/1, got {args.logical!r}"
         )
-    try:
-        encoder = synthesize_encoder(
-            sf, gate_set="mixed", name=f"{code.name}_encoder"
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    encoder = synthesize_encoder(
+        sf, gate_set="mixed", name=f"{code.name}_encoder"
+    )
     from .stabilizer import amplitudes
 
     error = None
     if args.error:
         m = _ERROR_SPEC.match(args.error)
         if not m:
-            raise _InputError(
+            raise ValueError(
                 f"--error wants the form P@q with P in X,Y,Z (e.g. X@3), "
                 f"got {args.error!r}"
             )
         letter, qubit = m.group(1), int(m.group(2))
         if not 1 <= qubit <= sf.n:
-            raise _InputError(f"--error qubit {qubit} outside 1..{sf.n}")
+            raise ValueError(f"--error qubit {qubit} outside 1..{sf.n}")
         error = PauliString.parse(
             "".join(letter if x == qubit else "I" for x in range(1, sf.n + 1))
         )
-    try:
-        d, amps = amplitudes(encoder, bits, error)
-    except ValueError as exc:  # more amplitudes than are listed
-        raise _InputError(str(exc)) from exc
+    d, amps = amplitudes(encoder, bits, error)
 
     print(f"code: {code.name}  logical: |{bits}>", end="")
     print(f"  error: {args.error}" if error is not None else "")
@@ -354,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
         return status
-    except _InputError as exc:
+    except ValueError as exc:  # every input error, read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader of stdout went away, as in `| head`

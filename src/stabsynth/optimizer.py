@@ -762,11 +762,11 @@ def optimize(
     Z gates, a Pauli frame, are split into ``report.frame`` (and recorded
     in the circuit notes), and the circuit composed with that frame is
     re-simulated against the input on every ancilla-restricted basis
-    state.  A mismatch raises ``OptimizationError``, and
-    a circuit past the dense simulator's qubit limit raises
-    ``simulator.DenseLimitError`` (a ``ValueError``) at that proof.
-    An unknown level, a negative ``search_budget``, or a witness pair
-    that is not a CX on qubits 1..n raises ``ValueError`` at every level,
+    state.  A mismatch raises ``OptimizationError``.
+    An unknown level, a negative ``search_budget``, a witness pair
+    that is not a CX on qubits 1..n, or a circuit past the dense
+    simulator's qubit limit, which that proof needs
+    (``simulator.DenseLimitError``), raises ``ValueError`` at every level,
     before any pass runs.  Each entry of
     ``report.blocks_resynthesized`` names the ``method`` whose gates
     replaced the region: ``"search"``, ``"witness"`` or ``"gaussian"``.
@@ -788,6 +788,9 @@ def optimize(
         except ValueError as exc:
             raise ValueError(f"block witness {i}: {exc}") from None
         witnesses.append(w)
+    from . import simulator  # numpy, for the final proof only
+
+    simulator.dense_size(circuit.n)  # past the limit, before any pass runs
 
     fires = _Fires()
     report = OptimizationReport(
@@ -827,9 +830,7 @@ def optimize(
         result.n, result.gates + frame, result.roles, name=result.name,
     )
     bare_input = Circuit(circuit.n, circuit.gates, circuit.roles)
-    from .simulator import circuits_equivalent  # numpy, for this proof only
-
-    if not circuits_equivalent(
+    if not simulator.circuits_equivalent(
         with_frame, bare_input, scope="ancilla_restricted",
         up_to_global_phase=False,
     ):

@@ -23,7 +23,8 @@ to |j> gives i^c·(-1)^|z & j|·|j ^ x>.
   tracking and their conjugation are one forward pass over the gates.
 - **Amplitudes** (``amplitudes``).  E·C|b> is P·C|0…0> for one Pauli P,
   and C|0…0> is the tracked amplitude carried across its support by the
-  products of its stabilizer rows, one product per index.  One forward
+  products of its stabilizer rows, one product per index, made in index
+  order as they are listed, so nothing is kept per index.  One forward
   pass.
 - **Equality** (``same_on``).  Two gate lists agree on the basis inputs
   with some qubits at |0> exactly when C = rhs†·lhs fixes |0…0>, read as
@@ -353,24 +354,31 @@ _MAX_LISTED = 26
 
 
 def amplitudes(circuit, bits: str, error=None):
-    """(d, [(index, m), ...]): E·C|b> holds e^(iπ·m/4)/√2^d at each index.
+    """(d, amps): E·C|b> holds e^(iπ·m/4)/√2^d at each (index, m) of amps.
 
-    The list holds every nonzero amplitude, in index order.  C is the
-    circuit, b the basis input with ``bits`` on its logical qubits, in
+    ``amps`` yields every nonzero amplitude once, in index order.  C is
+    the circuit, b the basis input with ``bits`` on its logical qubits, in
     order, and 0 elsewhere, and E the PauliString ``error`` (I when None).
     E·C|b> is P·C|0…0> for P = E·C·X^b·C†, and C|0…0> is nonzero exactly
     on the index that ``zero_amplitude`` tracks plus the span of its
     stabilizer rows' X parts.  Each product g = i^c·X^x·Z^z of the pivot
     rows fixes C|0…0>, so it carries the tracked amplitude to index ^ x
-    with the factor i^c·(-1)^|z & index|; the 2^d products are walked in
-    Gray-code order, one multiplication each.  P then moves the amplitude
-    at j to j ^ P.x with the factor i^P.c·(-1)^|P.z & j|.  The rows are
-    the ones ``zero_amplitude`` tracks, and X^b rides in the same tableau,
-    so one pass over the gates conjugates them all.  A state with d past
-    ``_MAX_LISTED`` raises ``ValueError`` after that pass, before the walk.
+    with the factor i^c·(-1)^|z & index|.  P then moves the amplitude at
+    j to j ^ P.x with the factor i^P.c·(-1)^|P.z & j|.  The rows are the
+    ones ``zero_amplitude`` tracks, and X^b rides in the same tableau, so
+    one pass over the gates conjugates them all.  ``bits`` that are not
+    one 0/1 character per logical qubit and an ``error`` on another number
+    of qubits raise ``ValueError`` first, and a state with d past
+    ``_MAX_LISTED`` after that pass, before any amplitude is listed.
     """
     n, gates = circuit.n, circuit.gates
     logical = circuit.logical_qubits()
+    if len(bits) != len(logical) or set(bits) - {"0", "1"}:
+        raise ValueError(
+            f"bits {bits!r} are not {len(logical)} characters of 0/1"
+        )
+    if error is not None and error.n != n:
+        raise ValueError(f"error acts on {error.n} qubits, circuit on {n}")
     b = sum(int(bit) << n - q for bit, q in zip(bits, logical))
     (index, m, d), tableau = _zero_state(gates, n, [(b, 0, 0)])
     if d > _MAX_LISTED:
@@ -379,18 +387,43 @@ def amplitudes(circuit, bits: str, error=None):
             f"at most 2^{_MAX_LISTED} are listed"
         )
     *rows, moved = tableau.rows()
-    x, z, c = multiply(error.xzc() if error else (0, 0, 0), moved)
-    pivots = list(_pivots(rows).values())
-    g = (0, 0, 0)
-    out = []
-    for t in range(1 << len(pivots)):
+    return d, _listed(index, m, rows, multiply(
+        error.xzc() if error else (0, 0, 0), moved
+    ))
+
+
+def _listed(index, m, rows, moved):
+    """``amplitudes``' (index, m) pairs, one product of rows per pair.
+
+    The pivot rows are reduced so that each leading bit is set in its own
+    row's X part alone.  The highest bit in which two indices of the
+    support differ is then one of those leading bits, so the least index
+    has none of them set, and with bit i of a counter t selecting the row
+    of the i-th lowest leading bit, counting t up lists the support in
+    index order.  From t - 1 to t the lowest set bit i of t and every bit
+    below it flip: one multiplication by the product of rows 0 to i, as
+    the rows commute and square to I.
+    """
+    x, z, c = moved
+    pivots = _pivots(rows)
+    tops = sorted(pivots)
+    for i, low in enumerate(tops):
+        for high in tops[i + 1:]:
+            if pivots[high][0] >> low - 1 & 1:
+                pivots[high] = multiply(pivots[high], pivots[low])
+    g = p = (0, 0, 0)
+    prefix = []
+    for top in tops:
+        if (index ^ x) >> top - 1 & 1:  # g starts at the least index
+            g = multiply(g, pivots[top])
+        p = multiply(p, pivots[top])
+        prefix.append(p)
+    for t in range(1 << len(tops)):
         if t:
-            g = multiply(g, pivots[(t & -t).bit_length() - 1])
+            g = multiply(g, prefix[(t & -t).bit_length() - 1])
         j = index ^ g[0]
         signs = (g[1] & index).bit_count() + (z & j).bit_count()
-        out.append((j ^ x, (m + 2 * (g[2] + c) + 4 * signs) & 7))
-    out.sort()
-    return d, out
+        yield j ^ x, (m + 2 * (g[2] + c) + 4 * signs) & 7
 
 
 def _pivot_product(sf, y: int):
@@ -570,12 +603,15 @@ def verify_counts(circuit, sf, allow_frame: bool) -> tuple[int, int, int]:
     states differ by more than a sign per basis index, or by more than
     one Z frame when ``allow_frame`` is set.
 
+    A circuit on other than ``sf.n`` qubits raises ``ValueError``.
     The circuit is walked twice: once backward (the pull-back that
     ``fixing_signs`` reads, which also gives every anticommutation bit)
     and, unless some generator pulls back to no ±Z^z, once forward
     (C|0…0> and the conjugated logical X's together).
     """
     n, k = sf.n, sf.k
+    if circuit.n != n:
+        raise ValueError(f"circuit acts on {circuit.n} qubits, code on {n}")
     gens = sf.generators
     m = len(gens)
     pulled = _pull_back(circuit.gates, gens + sf.logical_z, n)

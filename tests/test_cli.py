@@ -443,6 +443,27 @@ def test_unreadable_witness_file_exits_2_with_one_line(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "steane", "-o"],
+    ["optimize", "{circuit}", "-o"],
+    ["optimize", "{circuit}", "-o", "{circuit}.opt", "--report"],
+    ["export-qasm", "{circuit}", "-o"],
+])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_unwritable_output_file_exits_2_with_one_line(
+    capsys, tmp_path, command, where
+):
+    circuit = tmp_path / "steane.json"
+    assert run_cli(capsys, "synth", "steane", "-o", str(circuit))[0] == 0
+    target = tmp_path / "missing" / "out" if where == "missing_dir" else tmp_path
+    argv = [arg.format(circuit=circuit) for arg in command] + [str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_synth_signed_generator_exits_2(capsys, tmp_path):
     stab = tmp_path / "signed.stab"
     stab.write_text("name: signed\nn: 3\nk: 1\nZZI\n-IZZ\n")

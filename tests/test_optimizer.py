@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_code as _random_code
-from stabsynth import gf2, optimizer
+from stabsynth import gf2, optimizer, simulator
 from stabsynth.circuit import Circuit, Gate, gate_counts, to_json
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.optimizer import (
@@ -146,6 +146,51 @@ def test_witness_outside_the_register_is_rejected_before_any_pass(forms):
             with pytest.raises(ValueError, match="block witness 1: CX "
                                "control equals target"):
                 optimize(encoder, level=level, block_witnesses=[[(3, 3)]])
+
+
+@pytest.mark.parametrize("n", [simulator.MAX_QUBITS + 1, 40])
+def test_past_the_dense_limit_no_pass_runs(n):
+    # The final proof holds dense states, so a circuit it cannot prove is
+    # refused before the first pass, with the limit's own message.
+    circuit = Circuit(
+        n=n, gates=(Gate("CX", (1, 2)),),
+        roles=("logical_input",) + ("ancilla_zero",) * (n - 1),
+    )
+    message = (
+        f"^{n} qubits exceed the dense simulator's limit of "
+        f"{simulator.MAX_QUBITS}$"
+    )
+    with mock.patch.object(optimizer, "_pipeline",
+                           side_effect=AssertionError("a pass ran")):
+        for level in ("rules", "full"):
+            with pytest.raises(simulator.DenseLimitError, match=message):
+                optimize(circuit, level=level)
+
+
+def test_firing_an_unregistered_rule_raises():
+    with pytest.raises(KeyError, match="firing unregistered rule 'no_such_rule'"):
+        optimizer._Fires().hit("no_such_rule")
+
+
+def test_a_pass_that_adds_a_two_qubit_gate_is_caught(monkeypatch):
+    # A pass after the baseline count that appends a CX: optimize stops
+    # at its gate-count guard, before the proof.
+    fold = optimizer._pass_fold
+    monkeypatch.setattr(
+        optimizer, "_pass_fold",
+        lambda gates, circuit, fires: [
+            *fold(gates, circuit, fires), Gate("CX", (1, 2))
+        ],
+    )
+    circuit = Circuit(
+        n=2, gates=(Gate("H", (1,)), Gate("CX", (1, 2))),
+        roles=("logical_input", "ancilla_zero"),
+    )
+    with mock.patch.object(simulator, "circuits_equivalent",
+                           side_effect=AssertionError("the proof ran")):
+        with pytest.raises(OptimizationError, match="increased the two-qubit "
+                           "gate count past the retargeted baseline"):
+            optimize(circuit)
 
 
 def test_report_names_the_source_of_each_region():

@@ -158,6 +158,11 @@ def test_mismatched_lengths_do_not_compare_equal():
     assert PauliString.parse("XZ") != PauliString.parse("XZI")
 
 
+def test_product_of_mismatched_lengths_raises():
+    with pytest.raises(ValueError, match="^length mismatch$"):
+        PauliString.parse("XZ") * PauliString.parse("XZI")
+
+
 # ---------------------------------------------------------------------------
 # the int-row product against the numpy product it replaced
 #

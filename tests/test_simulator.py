@@ -42,6 +42,13 @@ def test_basis_state_construction():
     assert np.array_equal(state.amps, expected)
 
 
+def test_basis_state_construction_rejects_bad_input():
+    with pytest.raises(ValueError, match="^need 4 amplitudes for n=2$"):
+        StateVector(2, np.zeros(3))
+    with pytest.raises(ValueError, match="basis label must be bits, got '012'"):
+        StateVector.from_label("012")
+
+
 def test_single_qubit_gates():
     plus = StateVector.from_label("0")
     apply_gate(plus, Gate("H", (1,)))
@@ -448,6 +455,11 @@ def test_apply_pauli_phases():
     assert np.allclose(moved.amps, expected)
     # applying the same Pauli twice restores the state
     assert np.allclose(apply_pauli(moved, PauliString.parse("XZ")).amps, two.amps)
+
+
+def test_apply_pauli_rejects_an_operator_of_another_size():
+    with pytest.raises(ValueError, match="^operator has 3 qubits, state has 2$"):
+        apply_pauli(StateVector.from_label("01"), PauliString.parse("XYZ"))
 
 
 def _reference_apply_pauli(state, p):

@@ -13,7 +13,9 @@ one byte for byte.
 """
 
 import io
+import tracemalloc
 from contextlib import redirect_stdout
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from stabsynth.circuit import GATE_KINDS, ONE_QUBIT_KINDS, Circuit, Gate
 from stabsynth.cli import _load_code, main
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.gf2 import transpose
-from stabsynth.library import SHIPPED_CODES, golden_circuit, load_code
+from stabsynth.library import SHIPPED_CODES, golden_circuit, load_code, loads_stab
 from stabsynth.pauli import PauliString
 from stabsynth.simulator import apply_pauli, logical_label, run
 from stabsynth.stabilizer import (
@@ -33,6 +35,7 @@ from stabsynth.stabilizer import (
     _sign_sum,
     amplitudes,
     conjugate_rows,
+    fixing_signs,
     same_on,
     verify_counts,
 )
@@ -231,11 +234,49 @@ def test_amplitudes_are_the_dense_state(prepared):
     n, gates, bits, error = prepared
     circuit = Circuit(n=n, gates=tuple(gates), roles=("logical_input",) * n)
     d, amps = amplitudes(circuit, bits, error)
+    amps = list(amps)
     dense = apply_pauli(run(circuit, bits), error).amps
     support = np.flatnonzero(np.abs(dense) > 1e-9)
     assert [index for index, _ in amps] == list(support)
     got = np.array([np.exp(1j * np.pi * m / 4) for _, m in amps]) / 2 ** (d / 2)
     assert np.max(np.abs(got - dense[support])) < 1e-12
+
+
+def test_amplitudes_and_verify_counts_refuse_mismatched_inputs(forms):
+    # One 0/1 character per logical qubit, an error and a circuit of the
+    # right size: each input they would misread silently is refused.
+    steane = synthesize_encoder(forms["steane"], gate_set="mixed")
+    for bits in ("0101", "2", "", "01"):
+        with pytest.raises(ValueError, match=f"^bits {bits!r} are not 1 "):
+            amplitudes(steane, bits)
+    with pytest.raises(ValueError, match="^error acts on 3 qubits, circuit on 7$"):
+        amplitudes(steane, "0", PauliString.parse("XII"))
+    eight = synthesize_encoder(forms["eight_qubit"], gate_set="mixed")
+    with pytest.raises(ValueError, match="^circuit acts on 8 qubits, code on 7$"):
+        verify_counts(eight, forms["steane"], False)
+
+
+def test_fixing_signs_of_no_paulis_is_empty():
+    assert fixing_signs([Gate("H", (1,))], []) == []
+
+
+def test_amplitudes_are_listed_as_they_are_made():
+    # The [[21, 1]] code with the 20 checks X_i X_(i+1) has d = 20: its
+    # first amplitudes come, in index order, with nothing kept per index.
+    rows = ["I" * i + "XX" + "I" * (19 - i) for i in range(20)]
+    sf = loads_stab("name: wide21\nn: 21\nk: 1\n" + "\n".join(rows)).standard_form()
+    encoder = synthesize_encoder(sf, gate_set="mixed")
+    tracemalloc.start()
+    try:
+        d, amps = amplitudes(encoder, "0")
+        first = list(islice(amps, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 20
+    indices = [index for index, _ in first]
+    assert indices == sorted(set(indices)) and len(indices) == 1000
+    assert peak < 1 << 20  # all 2^20 (index, m) pairs would take ~100 MB
 
 
 def _count_conjugated_gates(monkeypatch) -> list[int]:

@@ -111,6 +111,20 @@ def test_check_matrix_rejects_dependent_generators():
         CheckMatrix(["XXII", "ZZII", "YYII"])
 
 
+def test_check_matrix_rejects_no_generators_and_unequal_widths():
+    with pytest.raises(ValueError, match="^no generators given$"):
+        CheckMatrix([])
+    with pytest.raises(ValueError, match="^generator 2 acts on 3 qubits, expected 2$"):
+        CheckMatrix(["XX", "ZZZ"])
+
+
+def test_css_check_matrix_rejects_unequal_widths_and_anticommuting_rows():
+    with pytest.raises(ValueError, match="different qubit counts"):
+        css_check_matrix([[1, 1]], [[1, 1, 1]])
+    with pytest.raises(ValueError, match="^h_z row 2 is not orthogonal to h_x row 1$"):
+        css_check_matrix([[1, 1, 0]], [[1, 1, 0], [1, 0, 0]])
+
+
 def test_css_check_matrix_matches_parsed_generators(codes):
     h = [
         [1, 1, 1, 1, 0, 0, 0],

@@ -97,3 +97,8 @@ def test_syndrome_flags_anticommuting_generators(eight_sf):
     bits = syndrome_of(error, eight_sf)
     expected = [0 if error.commutes_with(g) else 1 for g in eight_sf.generators]
     assert [bits >> (eight_sf.m - 1 - i) & 1 for i in range(eight_sf.m)] == expected
+
+
+def test_syndrome_of_rejects_an_error_of_another_size(eight_sf):
+    with pytest.raises(ValueError, match="^error acts on 7 qubits, code has 8$"):
+        syndrome_of(PauliString.parse("XIIIIII"), eight_sf)
