@@ -13,7 +13,6 @@ package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 __all__ = [
     "Gate",
@@ -47,25 +46,70 @@ def _check_gate(kind: str, q: tuple[int, ...]) -> None:
         raise ValueError(f"{kind} control equals target ({q[0]})")
 
 
+class _Record:
+    """A value class built from ``_fields``, its ``__init__`` arguments.
+
+    Records compare equal when class and fields do, repr without the
+    ``_hidden`` fields and pickle through ``__init__``.  ``_Frozen`` ones
+    also hash and refuse assignment, so their ``__init__`` uses ``_set``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
 # Every Gate ever built, by (kind, q); at most 8·n² of them on qubits 1..n.
 _GATES: dict[tuple[str, tuple[int, ...]], Gate] = {}
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class Gate:
+class Gate(_Frozen):
     """A single gate: ``kind`` plus 1-based qubit indices.
 
     Two-qubit gates store (control, target); for CZ the two play symmetric
     roles but the stored order is preserved for round-tripping.
+    ``support`` has bit q set for each qubit q.
 
     Gates are interned: constructing, copying or unpickling a gate returns
     the one instance with its kind and qubits.  Equality and hashing are
     therefore by identity, which is equality by value.
     """
 
-    kind: str
-    q: tuple[int, ...]
-    support: int = field(repr=False)  # bit q for each qubit q
+    __slots__ = ("kind", "q", "support")
+    _fields = ("kind", "q")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __new__(cls, kind: str, q):
         q = tuple(q)
@@ -82,14 +126,10 @@ class Gate:
         if gate is None:
             _check_gate(kind, q)
             gate = object.__new__(cls)
-            object.__setattr__(gate, "kind", kind)
-            object.__setattr__(gate, "q", q)
+            gate._set(kind, q)
             object.__setattr__(gate, "support", sum(1 << i for i in q))
             _GATES[key] = gate
         return gate
-
-    def __reduce__(self):
-        return (type(self), (self.kind, self.q))
 
     @property
     def control(self) -> int:
@@ -103,24 +143,16 @@ class Gate:
         return f"{self.kind}({','.join(str(i) for i in self.q)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Circuit:
+class Circuit(_Frozen):
     """Ordered gate list over n qubits with per-qubit roles and metadata."""
 
-    n: int
-    gates: tuple[Gate, ...]
-    roles: tuple[str, ...]
-    name: str = ""
-    notes: tuple[str, ...] = ()
-    measurements: tuple[tuple[int, int], ...] = ()
+    __slots__ = _fields = ("n", "gates", "roles", "name", "notes", "measurements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "roles", tuple(self.roles))
-        object.__setattr__(self, "notes", tuple(self.notes))
-        object.__setattr__(
-            self, "measurements", tuple((int(a), int(b)) for a, b in self.measurements)
-        )
+    def __init__(self, n: int, gates: tuple[Gate, ...], roles: tuple[str, ...],
+                 name: str = "", notes: tuple[str, ...] = (),
+                 measurements: tuple[tuple[int, int], ...] = ()):
+        self._set(n, tuple(gates), tuple(roles), name, tuple(notes),
+                  tuple((int(a), int(b)) for a, b in measurements))
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
         if len(self.roles) != self.n:
@@ -149,14 +181,8 @@ class Circuit:
 
     def replace_gates(self, gates, note: str | None = None) -> "Circuit":
         notes = self.notes + (note,) if note else self.notes
-        return Circuit(
-            n=self.n,
-            gates=tuple(gates),
-            roles=self.roles,
-            name=self.name,
-            notes=notes,
-            measurements=self.measurements,
-        )
+        return Circuit(self.n, gates, self.roles, self.name, notes,
+                       self.measurements)
 
     def __str__(self) -> str:
         body = " ".join(str(g) for g in self.gates)
@@ -280,13 +306,7 @@ def from_json(text: str) -> Circuit:
         if not isinstance(note, str):
             raise ValueError("'notes' entries must be strings")
     try:
-        return Circuit(
-            n=doc["n"],
-            gates=tuple(gates),
-            roles=tuple(doc["roles"]),
-            name=doc["name"],
-            notes=tuple(doc["notes"]),
-            measurements=tuple(measurements),
-        )
+        return Circuit(doc["n"], gates, doc["roles"], doc["name"], doc["notes"],
+                       measurements)
     except ValueError as exc:
         raise ValueError(str(exc)) from None

@@ -27,7 +27,8 @@ template proofs, and ``linear``); only ``optimize`` loads them, for its
 rewrites and its dense final proof, which bounds it to 26 qubits.
 ``verify`` and ``simulate`` import ``stabilizer``, which decides every
 logical input in closed form and lists each amplitude exactly from
-stabilizer rows, with no statevector, so they run at any n.
+stabilizer rows, with no statevector, so they run at any n.  ``encoder``
+and ``syndrome`` load only in the commands that run them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ import sys
 from pathlib import Path
 
 from . import library
-from .circuit import Circuit, Gate, from_json, to_json, to_qasm
-from .encoder import require_unsigned, synthesize_encoder
+from .circuit import Circuit, from_json, to_json, to_qasm
 from .pauli import PauliString
-from .syndrome import build_syndrome_table, format_table, syndrome_of
+from .symplectic import require_unsigned
 
 __all__ = ["main", "run"]
 
@@ -83,6 +83,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_synth(args) -> int:
+    from .encoder import synthesize_encoder
+    from .stabilizer import fixing_signs
+
     code = _load_code(args.code)
     sf = code.standard_form()
     gate_set = args.gates.replace("-", "_")
@@ -90,7 +93,6 @@ def _cmd_synth(args) -> int:
         sf, gate_set=gate_set, strip=not args.no_strip,
         name=f"{code.name}_encoder",
     )
-    from .stabilizer import fixing_signs
 
     # Some generator neither fixes nor negates C|0...0>: no Z frame can
     # repair that, so verify would FAIL the encoder whatever the frame.
@@ -146,13 +148,22 @@ def _cmd_optimize(args) -> int:
         )
     except OptimizationError as exc:
         raise ValueError(str(exc)) from exc
-    _write_output(to_json(optimized), args.output)
+    # The report first: a failed write then leaves no output it created.
+    report_new = args.report and not os.path.exists(args.report)
     if args.report:
         _write_output(report.to_json(), args.report)
+    try:
+        _write_output(to_json(optimized), args.output)
+    except ValueError:
+        if report_new:
+            os.remove(args.report)
+        raise
     return 0
 
 
 def _cmd_syndromes(args) -> int:
+    from .syndrome import build_syndrome_table, format_table
+
     code = _load_code(args.code)
     table = build_syndrome_table(code.standard_form())
     sys.stdout.write(format_table(table, args.format))
@@ -202,6 +213,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .encoder import synthesize_encoder
+    from .stabilizer import amplitudes
+    from .syndrome import syndrome_of
+
     code = _load_code(args.code)
     sf = code.standard_form()
     bits = args.logical if args.logical is not None else "0" * sf.k
@@ -212,8 +227,6 @@ def _cmd_simulate(args) -> int:
     encoder = synthesize_encoder(
         sf, gate_set="mixed", name=f"{code.name}_encoder"
     )
-    from .stabilizer import amplitudes
-
     error = None
     if args.error:
         m = _ERROR_SPEC.match(args.error)

@@ -30,7 +30,7 @@ on one, and CX controlled by one.  The optimizer runs the same scan
 from __future__ import annotations
 
 from .circuit import Circuit, Gate
-from .symplectic import StandardForm
+from .symplectic import StandardForm, require_unsigned
 
 __all__ = [
     "require_unsigned",
@@ -46,22 +46,6 @@ GATE_SETS = ("mixed", "cnot_cz")
 def _perm_note(sf: StandardForm) -> str:
     order = ", ".join(str(q + 1) for q in sf.qubit_perm)
     return f"qubit positions carry original qubits [{order}]"
-
-
-def require_unsigned(sf: StandardForm) -> None:
-    """Raise ValueError when a generator of ``sf`` carries a -1 sign.
-
-    The encoder and the projector oracle both build the +1-signed code
-    (``sf.generators``), so neither describes a signed one.
-    """
-    for i, phase in enumerate(sf.base.phases, start=1):
-        if phase % 4 == 2:
-            raise ValueError(
-                f"generator {i} carries a -1 sign; this synthesis method "
-                "prepares the +1-signed standard-form code only. Flip the "
-                "generator's sign (conjugate by an anticommuting Pauli) and "
-                "re-synthesize, then track the sign as a Pauli frame."
-            )
 
 
 def synthesize_encoder(

@@ -29,10 +29,9 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .circuit import Circuit, from_json
+from .circuit import Circuit, _Frozen, from_json
 from .pauli import PauliString
 from .symplectic import CheckMatrix, StandardForm, standard_form
 
@@ -69,22 +68,18 @@ class StabParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class CodeDefinition:
+class CodeDefinition(_Frozen):
     """A validated stabilizer code: name, size, and generator list.
 
     The generators are validated once, into the ``CheckMatrix`` that
     ``check_matrix`` returns and ``standard_form`` reduces.
     """
 
-    name: str
-    n: int
-    k: int
-    generators: tuple[PauliString, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
-    _check: CheckMatrix = field(init=False, repr=False, compare=False)
+    _fields = ("name", "n", "k", "generators", "notes")
 
-    def __post_init__(self):
+    def __init__(self, name: str, n: int, k: int,
+                 generators: tuple[PauliString, ...], notes: tuple[str, ...] = ()):
+        self._set(name, n, k, generators, notes)
         if len(self.generators) != self.n - self.k:
             raise ValueError(
                 f"code {self.name!r} declares n-k={self.n - self.k} "

@@ -41,9 +41,8 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, gate_counts
+from .circuit import Circuit, Gate, _Record, gate_counts
 from .encoder import scan_trivial_gates
 from .gf2 import min_weight_solution
 from .linear import (
@@ -72,15 +71,22 @@ class OptimizationError(RuntimeError):
     """The optimizer's internal equivalence check failed."""
 
 
-@dataclass
-class OptimizationReport:
+class OptimizationReport(_Record):
     """What the optimizer did: gate counts, rule firings, block rewrites."""
 
-    counts_before: dict[str, int]
-    counts_after: dict[str, int]
-    rules_fired: dict[str, int] = field(default_factory=dict)
-    blocks_resynthesized: list[dict] = field(default_factory=list)
-    frame: tuple[Gate, ...] = ()
+    _fields = ("counts_before", "counts_after", "rules_fired",
+               "blocks_resynthesized", "frame")
+
+    def __init__(self, counts_before: dict[str, int], counts_after: dict[str, int],
+                 rules_fired: dict[str, int] | None = None,
+                 blocks_resynthesized: list[dict] | None = None,
+                 frame: tuple[Gate, ...] = ()):
+        self.counts_before, self.counts_after = counts_before, counts_after
+        self.rules_fired = {} if rules_fired is None else rules_fired
+        self.blocks_resynthesized = (
+            [] if blocks_resynthesized is None else blocks_resynthesized
+        )
+        self.frame = frame
 
     def to_json(self) -> str:
         payload = {

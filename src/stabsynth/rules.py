@@ -18,9 +18,8 @@ There is no tolerance, and a side that is off by a global phase fails.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
-from .circuit import Gate, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS
+from .circuit import Gate, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, _Frozen
 from .stabilizer import same_on
 
 __all__ = [
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(_Frozen):
     """A window rewrite: ``pattern`` gates may be replaced by ``replacement``.
 
     Gates are templates over slot numbers 1..arity; ``instantiate`` maps
@@ -41,10 +39,12 @@ class RewriteRule:
     proven |0> at the window for the rewrite to be sound.
     """
 
-    name: str
-    pattern: tuple[Gate, ...]
-    replacement: tuple[Gate, ...]
-    zero_slots: frozenset[int] = field(default_factory=frozenset)
+    _fields = ("name", "pattern", "replacement", "zero_slots")
+
+    def __init__(self, name: str, pattern: tuple[Gate, ...],
+                 replacement: tuple[Gate, ...],
+                 zero_slots: frozenset[int] = frozenset()):
+        self._set(name, pattern, replacement, zero_slots)
 
     @property
     def arity(self) -> int:

@@ -28,12 +28,12 @@ are the +1-signed standard letter strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .circuit import _Record
 from .gf2 import as_bits, rank
 from .pauli import PauliString, multiply
 
-__all__ = ["CheckMatrix", "StandardForm", "standard_form", "css_check_matrix"]
+__all__ = ["CheckMatrix", "StandardForm", "css_check_matrix",
+           "require_unsigned", "standard_form"]
 
 
 class CheckMatrix:
@@ -118,8 +118,7 @@ def css_check_matrix(h_x, h_z) -> CheckMatrix:
     return CheckMatrix(gens)
 
 
-@dataclass
-class StandardForm:
+class StandardForm(_Record):
     """Result of reducing a check matrix to standard form.
 
     ``generators`` are the operational +1-signed standard generators, in
@@ -132,14 +131,18 @@ class StandardForm:
     letter string, 2 means minus it).
     """
 
-    base: CheckMatrix
-    r: int
-    qubit_perm: tuple[int, ...]
-    row_recipe: tuple[int, ...]
-    regen_phases: tuple[int, ...]
-    generators: list[PauliString] = field(repr=False)
-    logical_x: list[PauliString] = field(repr=False)
-    logical_z: list[PauliString] = field(repr=False)
+    _fields = ("base", "r", "qubit_perm", "row_recipe", "regen_phases",
+               "generators", "logical_x", "logical_z")
+    _hidden = ("generators", "logical_x", "logical_z")
+
+    def __init__(self, base: CheckMatrix, r: int, qubit_perm: tuple[int, ...],
+                 row_recipe: tuple[int, ...], regen_phases: tuple[int, ...],
+                 generators: list[PauliString], logical_x: list[PauliString],
+                 logical_z: list[PauliString]):
+        self.base, self.r, self.qubit_perm = base, r, qubit_perm
+        self.row_recipe, self.regen_phases = row_recipe, regen_phases
+        self.generators, self.logical_x = generators, logical_x
+        self.logical_z = logical_z
 
     @property
     def n(self) -> int:
@@ -186,6 +189,22 @@ class StandardForm:
             raise KeyError(f"unknown block {name!r}") from None
         mask = (1 << (c1 - c0)) - 1
         return tuple(row >> (n - c1) & mask for row in half[r0:r1])
+
+
+def require_unsigned(sf: StandardForm) -> None:
+    """Raise ValueError when a generator of ``sf`` carries a -1 sign.
+
+    The encoder and the projector oracle both build the +1-signed code
+    (``sf.generators``), so neither describes a signed one.
+    """
+    for i, phase in enumerate(sf.base.phases, start=1):
+        if phase % 4 == 2:
+            raise ValueError(
+                f"generator {i} carries a -1 sign; this synthesis method "
+                "prepares the +1-signed standard-form code only. Flip the "
+                "generator's sign (conjugate by an anticommuting Pauli) and "
+                "re-synthesize, then track the sign as a Pauli frame."
+            )
 
 
 def standard_form(check: CheckMatrix) -> StandardForm:

@@ -88,6 +88,30 @@ def test_slotted_circuit_builds_and_copies(mixed_encoders):
     assert swapped.gates == c.gates[:2] and swapped.notes[-1] == "shorter"
     assert pickle.loads(pickle.dumps(c)) == c
     assert copy.deepcopy(c) == c
+    # record behaviour: value equality, hashing, repr, copies, frozen fields
+    cx = Gate("CX", (1, 2))
+    assert cx == Gate("CX", [1, 2]) and cx != Gate("CX", (2, 1))
+    assert hash(cx) == hash(Gate("CX", (1, 2)))
+    assert repr(cx) == "Gate(kind='CX', q=(1, 2))"
+    assert pickle.loads(pickle.dumps(cx)) is cx and copy.deepcopy(cx) is cx
+    small = Circuit(2, (Gate("H", (1,)), cx), ("ancilla_zero", "logical_input"),
+                    name="demo", notes=("a",), measurements=((2, 0),))
+    same = Circuit(2, [Gate("H", (1,)), cx], ["ancilla_zero", "logical_input"],
+                   "demo", ["a"], [(2, 0)])
+    assert small == same and hash(small) == hash(same)
+    assert small != same.replace_gates(same.gates, note="b")
+    assert small != (2, small.gates, small.roles, "demo", ("a",), ((2, 0),))
+    assert repr(small) == (
+        "Circuit(n=2, gates=(Gate(kind='H', q=(1,)), Gate(kind='CX', "
+        "q=(1, 2))), roles=('ancilla_zero', 'logical_input'), name='demo', "
+        "notes=('a',), measurements=((2, 0),))"
+    )
+    assert pickle.loads(pickle.dumps(small)) == small == copy.deepcopy(small)
+    for record, field in ((cx, "kind"), (small, "name")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_circuit_validation():

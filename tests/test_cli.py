@@ -448,6 +448,7 @@ def test_unreadable_witness_file_exits_2_with_one_line(
     ["optimize", "{circuit}", "-o"],
     ["optimize", "{circuit}", "-o", "{circuit}.opt", "--report"],
     ["export-qasm", "{circuit}", "-o"],
+    ["optimize", "{circuit}", "--report", "{circuit}.rep", "-o"],
 ])
 @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
 def test_unwritable_output_file_exits_2_with_one_line(
@@ -462,6 +463,8 @@ def test_unwritable_output_file_exits_2_with_one_line(
     assert out == ""
     assert err.startswith(f"error: cannot write {str(target)!r}: ")
     assert err.count("\n") == 1
+    # no output of the failed call is left, whichever path was bad
+    assert [p.name for p in tmp_path.iterdir()] == ["steane.json"]
 
 
 def test_synth_signed_generator_exits_2(capsys, tmp_path):
@@ -680,44 +683,55 @@ def test_export_qasm(capsys, mixed_eight, tmp_path):
 # Run in a fresh interpreter with numpy blocked: importing the CLI, then
 # running every command but optimize, with and without a frame for
 # verify, leaves numpy and the simulator unloaded, and no command but
-# optimize loads the optimizer stack.  Then `rules`, whose import proves
-# its templates, loads neither.
+# optimize loads the optimizer stack.  The import loads no command's
+# modules and no `dataclasses`; `verify` runs before any command that
+# needs `encoder` or `syndrome` and loads neither, and `syndromes` loads
+# no `encoder`.  Then `rules`, whose import proves its templates, loads
+# neither numpy nor the simulator.
 _NUMPY_FREE = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy raises ImportError
 from stabsynth.cli import main
 
 OPTIMIZER = {"stabsynth.optimizer", "stabsynth.rules", "stabsynth.linear"}
+COMMANDS = {"stabsynth.encoder", "stabsynth.syndrome"}
 
 def unloaded(step, modules=OPTIMIZER | {"numpy", "stabsynth.simulator"}):
     loaded = {name for name, module in sys.modules.items() if module}
-    assert not modules & loaded, step
+    assert not modules & loaded, (step, modules & loaded)
 
-unloaded("import")
+unloaded("import", OPTIMIZER | COMMANDS | {
+    "numpy", "stabsynth.simulator", "stabsynth.stabilizer", "dataclasses",
+    "inspect",
+})
 try:
     main(["--help"])
 except SystemExit as done:
     assert done.code == 0
 unloaded("--help")
-circuit, golden, rep40 = sys.argv[1:]
+circuit, golden, rep40, rep40_circuit = sys.argv[1:]
 for argv, want in (
-    (["synth", "steane", "-o", circuit], 0),
-    (["syndromes", "steane"], 0),
-    (["export-qasm", circuit], 0),
     (["verify", "no_such_code", circuit], 2),
     (["verify", "steane", circuit], 0),
     (["verify", "steane", circuit, "--allow-frame"], 0),
     (["verify", "thirteen_qubit", golden], 1),
     (["verify", "thirteen_qubit", golden, "--allow-frame"], 0),
+    # past the dense simulator's 26 qubits
+    (["verify", rep40, rep40_circuit], 0),
+    (["syndromes", "steane"], 0),
+    (["synth", "steane", "-o", circuit], 0),
+    (["export-qasm", circuit], 0),
     (["simulate", "steane", "--error", "X@3"], 0),
     (["simulate", "thirteen_qubit", "--logical", "1011001", "--error", "Y@5"], 0),
-    # past the dense simulator's 26 qubits
-    (["synth", rep40, "-o", circuit], 0),
-    (["verify", rep40, circuit], 0),
+    (["synth", rep40, "-o", rep40_circuit], 0),
     (["simulate", rep40, "--error", "X@40"], 0),
 ):
     assert main(argv) == want, argv
     unloaded(argv)
+    if argv[0] == "verify":
+        unloaded(argv, COMMANDS)
+    elif argv[0] == "syndromes":
+        unloaded(argv, {"stabsynth.encoder"})
 import stabsynth.rules  # proves its templates and commutation test exactly
 unloaded("rules", {"numpy", "stabsynth.simulator"})
 """
@@ -727,14 +741,21 @@ def test_commands_without_amplitudes_load_no_numpy(tmp_path):
     golden = tmp_path / "thirteen_qubit.json"
     golden.write_text(to_json(golden_circuit("thirteen_qubit")))
     rep40, _ = _repetition(tmp_path, 40)
+    # Encoders synthesized here, for the verify rows that come before
+    # the script's own synth; that synth must write the same bytes.
+    circuit, rep40_circuit = tmp_path / "steane.json", tmp_path / "rep40_encoder.json"
+    assert main(["synth", "steane", "-o", str(circuit)]) == 0
+    assert main(["synth", rep40, "-o", str(rep40_circuit)]) == 0
+    made = circuit.read_text(), rep40_circuit.read_text()
     src = Path(stabsynth.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, str(tmp_path / "steane.json"),
-         str(golden), rep40],
+        [sys.executable, "-c", _NUMPY_FREE, str(circuit), str(golden), rep40,
+         str(rep40_circuit)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    assert (circuit.read_text(), rep40_circuit.read_text()) == made
 
 
 def test_optimize_runs_from_a_fresh_interpreter(tmp_path):
@@ -747,6 +768,7 @@ assert main(["synth", "steane", "-o", circuit]) == 0
 assert "stabsynth.rules" not in sys.modules
 assert main(["optimize", circuit, "-o", out]) == 0
 assert "stabsynth.rules" in sys.modules
+assert "dataclasses" not in sys.modules
 """
     src = Path(stabsynth.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

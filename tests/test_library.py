@@ -1,7 +1,9 @@
 """Code library: .stab parsing with line-precise errors, fixtures, overrides."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +132,18 @@ def test_code_definition_builds_forms():
     assert check.n == 4 and check.m == 2
     sf = code.standard_form()
     assert sf.k == 2
+    # value equality and hashing leave out the validated check matrix
+    again = loads_stab(GOOD)
+    assert again == code and hash(again) == hash(code)
+    assert again.check_matrix() is not check
+    assert code != CodeDefinition("demo", 4, 2, code.generators)
+    assert repr(code) == (
+        "CodeDefinition(name='demo', n=4, k=2, generators=(PauliString('XXXX'), "
+        "PauliString('ZZZZ')), notes=('a comment becomes a note',))"
+    )
+    assert pickle.loads(pickle.dumps(code)) == code == copy.deepcopy(code)
+    with pytest.raises(AttributeError):
+        code.name = "other"
 
 
 @pytest.mark.parametrize("name", SHIPPED_CODES)

@@ -1,6 +1,8 @@
 """Optimizer pipeline: frozen results per level, equivalence, reporting."""
 
+import copy
 import json
+import pickle
 import time
 from itertools import combinations
 from unittest import mock
@@ -15,6 +17,7 @@ from stabsynth.circuit import Circuit, Gate, gate_counts, to_json
 from stabsynth.encoder import synthesize_encoder
 from stabsynth.optimizer import (
     OptimizationError,
+    OptimizationReport,
     apply_rules,
     frame_from_notes,
     optimize,
@@ -119,6 +122,26 @@ def test_report_serializes(golden_runs):
     }
     assert payload["counts_before"] == {"H": 4, "Z": 1, "CX": 15, "CZ": 12}
     assert payload["frame"] == ["Z(4)"]
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+    # a mutable record: equal by fields, unhashable, fresh defaults
+    small = OptimizationReport(
+        {"CX": 2}, {"CX": 1}, {"cx_pair_cancellation": 1}, [],
+        (Gate("Z", (2,)),),
+    )
+    assert small == OptimizationReport(
+        {"CX": 2}, {"CX": 1}, {"cx_pair_cancellation": 1}, frame=(Gate("Z", (2,)),)
+    )
+    assert small != OptimizationReport({"CX": 2}, {"CX": 1})
+    with pytest.raises(TypeError):
+        hash(small)
+    assert repr(small) == (
+        "OptimizationReport(counts_before={'CX': 2}, counts_after={'CX': 1}, "
+        "rules_fired={'cx_pair_cancellation': 1}, blocks_resynthesized=[], "
+        "frame=(Gate(kind='Z', q=(2,)),))"
+    )
+    a, b = OptimizationReport({}, {}), OptimizationReport({}, {})
+    assert a.rules_fired is not b.rules_fired
+    assert a.blocks_resynthesized is not b.blocks_resynthesized
 
 
 def test_rejects_unknown_level_and_target(forms):

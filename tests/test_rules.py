@@ -1,5 +1,8 @@
 """Rewrite-rule registry: soundness guard, lookup, commutation predicate."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -135,6 +138,17 @@ def test_lookup():
     assert rule("triangle_contraction").arity == 3
     with pytest.raises(KeyError, match="no rewrite rule named"):
         rule("does_not_exist")
+    r = rule("cz_zero_leg_elision")
+    twin = RewriteRule(r.name, r.pattern, r.replacement, frozenset({1}))
+    assert twin == r and hash(twin) == hash(r)
+    assert RewriteRule(r.name, r.pattern, r.replacement) != r
+    assert repr(r) == (
+        "RewriteRule(name='cz_zero_leg_elision', pattern=(Gate(kind='CZ', "
+        "q=(1, 2)),), replacement=(), zero_slots=frozenset({1}))"
+    )
+    assert pickle.loads(pickle.dumps(r)) == r == copy.deepcopy(r)
+    with pytest.raises(AttributeError):
+        r.zero_slots = frozenset()
 
 
 def test_register_rejects_duplicates_and_unsound_rules():

@@ -1,5 +1,8 @@
 """Check-matrix reduction: frozen standard forms and structural invariants."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +150,21 @@ def test_reduction_is_deterministic(codes):
     assert (a.x, a.z, a.row_recipe) == (b.x, b.z, b.row_recipe)
     assert a.qubit_perm == b.qubit_perm
     assert a.regen_phases == b.regen_phases
+    # a mutable record: equal by fields (the shared check matrix by
+    # identity), unhashable, its generator lists left out of repr
+    assert a == b and a != standard_form(codes["steane"].check_matrix())
+    with pytest.raises(TypeError):
+        hash(a)
+    demo = standard_form(CheckMatrix(["XXXX", "ZZZZ"]))
+    assert repr(demo) == (
+        "StandardForm(base=CheckMatrix(['XXXX', 'ZZZZ']), r=1, "
+        "qubit_perm=(0, 1, 2, 3), row_recipe=(2, 1), regen_phases=(0, 0))"
+    )
+    for copied in (pickle.loads(pickle.dumps(demo)), copy.deepcopy(demo)):
+        assert repr(copied) == repr(demo)
+        assert copied.generators == demo.generators
+        assert copied.logical_x == demo.logical_x
+        assert copied.logical_z == demo.logical_z
 
 
 # ---------------------------------------------------------------------------
